@@ -17,13 +17,11 @@ output, exposed on the command line as ``gridemd``.
 from .bench import (
     BenchRecord,
     RECORDS_CSV_HEADER,
-    SUMMARY_CSV_HEADER,
     SweepConfig,
     SweepSummary,
     aggregate,
     derive_seed,
     emit_records_csv,
-    emit_summary_csv,
     equalize_mass,
     gen_random_grid,
     read_records_csv,
@@ -64,7 +62,7 @@ from .mwd import (
     mwd_oracle_assignment,
     plan_cost,
 )
-from .qmwd import QmwdBreakdown, directional_estimate, normalize_pair, qmwd, qmwd_value
+from .qmwd import QmwdBreakdown, directional_estimate, normalize_pair, qmwd
 from .wd1d import wd_1d, wd_1d_oracle
 
 __version__ = "0.1.0"
@@ -91,14 +89,12 @@ __all__ = [
     "RECORDS_CSV_HEADER",
     "RaggedRowsError",
     "ResidueTooLargeError",
-    "SUMMARY_CSV_HEADER",
     "SweepConfig",
     "SweepSummary",
     "aggregate",
     "derive_seed",
     "directional_estimate",
     "emit_records_csv",
-    "emit_summary_csv",
     "emit_svg",
     "equalize_mass",
     "format_grid",
@@ -110,7 +106,6 @@ __all__ = [
     "parse_grid",
     "plan_cost",
     "qmwd",
-    "qmwd_value",
     "read_records_csv",
     "rotate90",
     "run_sweep",

@@ -34,11 +34,6 @@ RECORDS_CSV_HEADER = (
     "m,n,trial,seed,mwd,wd_vec,qmwd,err_wd,err_qmwd,"
     "time_mwd_ns,time_qmwd_ns,time_wd_ns,excluded,fail_reason"
 )
-SUMMARY_CSV_HEADER = (
-    "m,n,records,used,excluded,mean_err_wd,median_err_wd,"
-    "mean_err_qmwd,median_err_qmwd,mean_time_mwd_ns,mean_time_qmwd_ns,"
-    "mean_time_wd_ns"
-)
 
 _MIX_MASK = (1 << 64) - 1
 _MIX_GAMMA = 0x9E3779B97F4A7C15
@@ -295,13 +290,6 @@ def emit_records_csv(records: Iterable[BenchRecord], dest: TextIO) -> None:
     writer.writerow(RECORDS_CSV_HEADER.split(","))
     for r in records:
         writer.writerow([_cell(getattr(r, f.name)) for f in fields(BenchRecord)])
-
-
-def emit_summary_csv(summaries: Iterable[SweepSummary], dest: TextIO) -> None:
-    writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(SUMMARY_CSV_HEADER.split(","))
-    for s in summaries:
-        writer.writerow([_cell(getattr(s, f.name)) for f in fields(SweepSummary)])
 
 
 def _opt_int(text: str) -> int | None:

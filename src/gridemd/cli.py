@@ -53,11 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit one JSON object instead of plain text",
     )
-    dist.add_argument(
-        "--dense-cost",
-        action="store_true",
-        help="solve over the fully materialized cost tensor (small grids only)",
-    )
     dist.set_defaults(func=_cmd_dist)
 
     bench = sub.add_parser(
@@ -86,12 +81,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bench.add_argument(
         "--out", default="records.csv", help="records CSV path (default records.csv)"
-    )
-    bench.add_argument(
-        "--timing-serial",
-        action="store_true",
-        help="take timings on dedicated uncontended runs (the sweep always "
-        "runs trials sequentially, so this is already the behavior)",
     )
     bench.set_defaults(func=_cmd_bench)
 
@@ -122,7 +111,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     out: dict[str, object] = {"m": p.rows, "n": p.cols}
     plan = None
     if args.metric in ("mwd", "all"):
-        res = mwd_exact(p, q, dense_cost=args.dense_cost)
+        res = mwd_exact(p, q)
         out["mwd"] = res.distance
         plan = res.plan
     if args.metric in ("wdvec", "all"):

@@ -12,7 +12,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import BadTokenError, EmptyGridError, RaggedRowsError
+from .errors import (
+    BadTokenError,
+    DimensionMismatchError,
+    EmptyGridError,
+    MassMismatchError,
+    RaggedRowsError,
+)
 
 MassVector = tuple[int, ...]
 """A 1D sequence of nonnegative integer masses."""
@@ -126,6 +132,22 @@ def transpose(g: GridHistogram) -> GridHistogram:
 def total_mass(g: GridHistogram) -> int:
     """Sum of all cells."""
     return sum(g.cells)
+
+
+def check_pair(p: GridHistogram, q: GridHistogram) -> int:
+    """Check that two grids can be compared and return their common mass.
+
+    Raises DimensionMismatchError for different shapes and MassMismatchError
+    for different totals.
+    """
+    if p.shape != q.shape:
+        raise DimensionMismatchError(
+            f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}"
+        )
+    mp, mq = total_mass(p), total_mass(q)
+    if mp != mq:
+        raise MassMismatchError(f"total masses differ: {mp} vs {mq}")
+    return mp
 
 
 def format_grid(g: GridHistogram, sep: str = " ") -> str:

@@ -10,11 +10,6 @@ ints.
 Mass common to both grids stays where it is at zero cost: it is subtracted
 before the solve and reported as src == dst moves, so the returned plan's
 marginals always match the full input grids.
-
-``dense_cost=True`` instead materializes the complete four-subscript cost
-tensor over all cell pairs and solves with the original supplies, trading
-memory for a layout that mirrors the direct cost-matrix formulation; it is
-restricted to small grids and produces the same distance.
 """
 
 from __future__ import annotations
@@ -23,18 +18,15 @@ import heapq
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    DimensionMismatchError,
-    MassMismatchError,
-    MassTooLargeError,
-    PreconditionError,
-)
-from .grid import GridHistogram, total_mass
+from .errors import MassTooLargeError
+from .grid import GridHistogram, check_pair
+
+# Not called here; perfbench/tracing.py rebinds this name on this module.
+from .grid import total_mass  # noqa: F401
 
 Cell = tuple[int, int]
 
 ORACLE_MASS_LIMIT = 12
-DENSE_COST_CELL_LIMIT = 1024  # the tensor has (rows*cols)**2 entries
 
 
 @dataclass(frozen=True)
@@ -64,18 +56,7 @@ def plan_cost(plan: Iterable[Move]) -> int:
     return sum(mv.amount * manhattan_cost(mv.src, mv.dst) for mv in plan)
 
 
-def _check_pair(p: GridHistogram, q: GridHistogram) -> int:
-    if p.shape != q.shape:
-        raise DimensionMismatchError(
-            f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}"
-        )
-    mp, mq = total_mass(p), total_mass(q)
-    if mp != mq:
-        raise MassMismatchError(f"total masses differ: {mp} vs {mq}")
-    return mp
-
-
-def mwd_exact(p: GridHistogram, q: GridHistogram, *, dense_cost: bool = False) -> MwdResult:
+def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     """Exact Manhattan Wasserstein distance and an optimal transport plan.
 
     Both grids must have identical dimensions and equal total mass. Totals
@@ -83,38 +64,23 @@ def mwd_exact(p: GridHistogram, q: GridHistogram, *, dense_cost: bool = False) -
     plans are optimal an arbitrary one is returned; only the distance and
     the marginal properties are contractual.
     """
-    mass = _check_pair(p, q)
+    mass = check_pair(p, q)
     if mass == 0:
         return MwdResult(0, ())
     cols = p.cols
-    if dense_cost:
-        if p.rows * p.cols > DENSE_COST_CELL_LIMIT:
-            raise PreconditionError(
-                f"dense cost tensor limited to {DENSE_COST_CELL_LIMIT} cells, "
-                f"got {p.rows * p.cols}"
-            )
-        sup = [(idx, v) for idx, v in enumerate(p.cells) if v > 0]
-        dem = [(idx, v) for idx, v in enumerate(q.cells) if v > 0]
-        tensor = _cost_tensor(p.rows, p.cols)
-        cost_rows = [
-            [tensor[fs // cols][fs % cols][fd // cols][fd % cols] for fd, _ in dem]
-            for fs, _ in sup
-        ]
-        stay_put: list[Move] = []
-    else:
-        common = [min(a, b) for a, b in zip(p.cells, q.cells)]
-        sup = [(i, v - c) for i, (v, c) in enumerate(zip(p.cells, common)) if v > c]
-        dem = [(i, v - c) for i, (v, c) in enumerate(zip(q.cells, common)) if v > c]
-        dcoord = [(fd // cols, fd % cols) for fd, _ in dem]
-        cost_rows = [
-            [abs(fs // cols - di) + abs(fs % cols - dj) for di, dj in dcoord]
-            for fs, _ in sup
-        ]
-        stay_put = [
-            Move((i // cols, i % cols), (i // cols, i % cols), c)
-            for i, c in enumerate(common)
-            if c > 0
-        ]
+    common = [min(a, b) for a, b in zip(p.cells, q.cells)]
+    sup = [(i, v - c) for i, (v, c) in enumerate(zip(p.cells, common)) if v > c]
+    dem = [(i, v - c) for i, (v, c) in enumerate(zip(q.cells, common)) if v > c]
+    dcoord = [(fd // cols, fd % cols) for fd, _ in dem]
+    cost_rows = [
+        [abs(fs // cols - di) + abs(fs % cols - dj) for di, dj in dcoord]
+        for fs, _ in sup
+    ]
+    stay_put = [
+        Move((i // cols, i % cols), (i // cols, i % cols), c)
+        for i, c in enumerate(common)
+        if c > 0
+    ]
 
     flow_by_d = _solve_transport([a for _, a in sup], [a for _, a in dem], cost_rows)
 
@@ -138,7 +104,7 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
 
     Feasible only up to total mass ORACLE_MASS_LIMIT.
     """
-    mass = _check_pair(p, q)
+    mass = check_pair(p, q)
     if mass > ORACLE_MASS_LIMIT:
         raise MassTooLargeError(f"oracle limited to mass {ORACLE_MASS_LIMIT}, got {mass}")
     if mass == 0:
@@ -169,19 +135,6 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
                 if alt < dp[nm]:
                     dp[nm] = alt
     return int(dp[full])
-
-
-def _cost_tensor(m: int, n: int) -> list[list[list[list[int]]]]:
-    """Materialize the full cost tensor c[i][j][k][l] = |i-k| + |j-l|."""
-    tensor = [[[[0] * n for _ in range(m)] for _ in range(n)] for _ in range(m)]
-    for i in range(m):
-        for j in range(n):
-            cell = tensor[i][j]
-            for k in range(m):
-                row = cell[k]
-                for l in range(n):
-                    row[l] = abs(i - k) + abs(j - l)
-    return tensor
 
 
 def _solve_transport(

@@ -5,14 +5,18 @@ optimal-transport cost has the closed form
 
     sum over i < len-1 of |prefix_a(i) - prefix_b(i)|
 
-which is computed in one pass with exact integer arithmetic. A brute-force
-oracle (unit expansion plus sorted pairing, optimal for convex 1D costs)
-is provided for cross-checking on small instances.
+which is computed in one pass with exact integer arithmetic. For an
+equal-mass pair the final prefix difference is 0, so the sum may run over
+every index. A brute-force oracle (unit expansion plus sorted pairing,
+optimal for convex 1D costs) is provided for cross-checking on small
+instances.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from itertools import accumulate
+from operator import sub
+from typing import Iterable, Sequence
 
 from .errors import LengthMismatchError, MassMismatchError, MassTooLargeError, NegativeEntryError
 
@@ -43,13 +47,16 @@ def wd_1d(a: Sequence[int], b: Sequence[int]) -> int:
     at most total_mass * (len - 1).
     """
     _check_pair(a, b)
-    ca = cb = 0
-    work = 0
-    for i in range(len(a) - 1):
-        ca += a[i]
-        cb += b[i]
-        work += abs(ca - cb)
-    return work
+    return prefix_work(a, b)
+
+
+def prefix_work(a: Iterable[int], b: Iterable[int]) -> int:
+    """The 1D work of ``wd_1d`` without its checks.
+
+    The caller guarantees that ``a`` and ``b`` have equal lengths, no
+    negative entries and equal totals; otherwise the result is meaningless.
+    """
+    return sum(map(abs, map(sub, accumulate(a), accumulate(b))))
 
 
 def wd_1d_oracle(a: Sequence[int], b: Sequence[int]) -> int:

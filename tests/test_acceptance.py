@@ -20,7 +20,6 @@ from gridemd import (
     mwd_exact,
     mwd_oracle_assignment,
     qmwd,
-    qmwd_value,
     read_records_csv,
     rotate90,
     run_sweep,
@@ -116,13 +115,13 @@ def test_criterion_4_axis_aligned_unit_pairs_exhaustive():
         for c1 in range(5):
             for c2 in range(5):
                 p, q = unit(r, c1), unit(r, c2)
-                assert qmwd_value(p, q) == mwd_exact(p, q).distance == abs(c1 - c2)
+                assert qmwd(p, q).qmwd == mwd_exact(p, q).distance == abs(c1 - c2)
                 checked += 1
     for c in range(5):
         for r1 in range(5):
             for r2 in range(5):
                 p, q = unit(r1, c), unit(r2, c)
-                assert qmwd_value(p, q) == mwd_exact(p, q).distance == abs(r1 - r2)
+                assert qmwd(p, q).qmwd == mwd_exact(p, q).distance == abs(r1 - r2)
                 checked += 1
     print(f"criterion 4: {checked} axis-aligned unit pairs, zero exceptions")
 

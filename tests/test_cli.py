@@ -51,12 +51,6 @@ def test_dist_json(grid_files, capsys):
     assert doc["plan"] == [[0, 0, 1, 1, 1]]
 
 
-def test_dist_dense_cost(grid_files, capsys):
-    fp, fq = grid_files
-    assert main(["dist", fp, fq, "--metric", "mwd", "--dense-cost"]) == 0
-    assert "mwd 2" in capsys.readouterr().out
-
-
 def test_dist_plan_needs_mwd(grid_files, capsys):
     fp, fq = grid_files
     assert main(["dist", fp, fq, "--metric", "wdvec", "--plan"]) == 2
@@ -135,16 +129,6 @@ def test_bench_negative_cap_disables_it(tmp_path, capsys):
     with open(out, encoding="utf-8", newline="") as fh:
         records = read_records_csv(fh)
     assert all(r.fail_reason != "mass_cap" for r in records)
-    capsys.readouterr()
-
-
-def test_bench_timing_serial_flag_accepted(tmp_path, capsys):
-    out = tmp_path / "records.csv"
-    code = main([
-        "bench", "--n", "2", "--m-min", "2", "--m-max", "2", "--trials", "1",
-        "--timing-serial", "--out", str(out),
-    ])
-    assert code == 0
     capsys.readouterr()
 
 

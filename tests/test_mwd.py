@@ -11,7 +11,6 @@ from gridemd import (
     GridHistogram,
     MassMismatchError,
     MassTooLargeError,
-    PreconditionError,
     manhattan_cost,
     mwd_exact,
     mwd_oracle_assignment,
@@ -154,28 +153,12 @@ def test_projection_lower_bounds():
         assert d >= wd_1d(col_p, col_q)
 
 
-def test_dense_cost_mode_agrees():
-    rng = random.Random(707)
-    for _ in range(60):
-        m = rng.randrange(1, 5)
-        n = rng.randrange(1, 5)
-        mass = rng.randrange(0, 30)
-        p, q = random_pair(rng, m, n, mass)
-        res = mwd_exact(p, q)
-        dense = mwd_exact(p, q, dense_cost=True)
-        assert dense.distance == res.distance
-        assert plan_marginals(dense.plan, m, n) == (p.cells, q.cells)
-        assert plan_cost(dense.plan) == dense.distance
-
-
-def test_dense_cost_cell_limit():
-    m = 33  # 33*33 = 1089 cells, above the dense-mode limit
+def test_large_grid_corner_to_corner_unit():
+    m = 33
     cells = [0] * (m * m)
     cells[0] = 1
     p = GridHistogram(m, m, tuple(cells))
     cells2 = [0] * (m * m)
     cells2[-1] = 1
     q = GridHistogram(m, m, tuple(cells2))
-    with pytest.raises(PreconditionError):
-        mwd_exact(p, q, dense_cost=True)
     assert mwd_exact(p, q).distance == 2 * (m - 1)

@@ -19,8 +19,8 @@ from gridemd import (
     mwd_exact,
     normalize_pair,
     qmwd,
-    qmwd_value,
     rotate90,
+    transpose,
     vec_row_major,
     wd_1d,
 )
@@ -57,13 +57,13 @@ def test_breakdown_one_by_two():
 def test_identity_exhaustive_and_random():
     for cells in itertools.product((0, 1, 2), repeat=4):
         g = GridHistogram(2, 2, cells)
-        assert qmwd_value(g, g) == 0
+        assert qmwd(g, g).qmwd == 0
     rng = random.Random(801)
     for _ in range(500):
         m = rng.randrange(1, 8)
         n = rng.randrange(1, 8)
         g = random_grid(rng, m, n, rng.randrange(0, 100))
-        assert qmwd_value(g, g) == 0
+        assert qmwd(g, g).qmwd == 0
 
 
 def test_symmetry():
@@ -72,7 +72,7 @@ def test_symmetry():
         m = rng.randrange(1, 7)
         n = rng.randrange(1, 7)
         p, q = random_pair(rng, m, n, rng.randrange(0, 80))
-        assert qmwd_value(p, q) == qmwd_value(q, p)
+        assert qmwd(p, q).qmwd == qmwd(q, p).qmwd
 
 
 def test_decomposition_reconstructs_raw_values():
@@ -100,9 +100,21 @@ def test_rotation_direction_immunity():
         m = rng.randrange(1, 7)
         n = rng.randrange(1, 7)
         p, q = random_pair(rng, m, n, rng.randrange(0, 80))
+        b = qmwd(p, q)
         ccw = wd_1d(vec_row_major(rotate90(p)), vec_row_major(rotate90(q)))
         cw = wd_1d(vec_row_major(rotate_cw(p)), vec_row_major(rotate_cw(q)))
-        assert cw == ccw == qmwd(p, q).wd_rot
+        assert cw == ccw == b.wd_rot
+        assert b.wd_row == wd_1d(vec_row_major(p), vec_row_major(q))
+        assert b.wd_transp == wd_1d(vec_row_major(transpose(p)), vec_row_major(transpose(q)))
+
+
+def test_can_exceed_exact_distance():
+    p = GridHistogram.from_rows([[0, 1], [0, 0], [0, 1], [0, 0]])
+    q = GridHistogram.from_rows([[0, 1], [0, 0], [0, 0], [1, 0]])
+    b = qmwd(p, q)
+    assert mwd_exact(p, q).distance == 2
+    assert b.est_transp == 3
+    assert b.qmwd == 3
 
 
 def test_axis_aligned_unit_pairs_are_exact():
@@ -115,17 +127,17 @@ def test_axis_aligned_unit_pairs_are_exact():
         for c1 in range(5):
             for c2 in range(5):
                 p, q = unit(5, 5, r, c1), unit(5, 5, r, c2)
-                assert qmwd_value(p, q) == mwd_exact(p, q).distance == abs(c1 - c2)
+                assert qmwd(p, q).qmwd == mwd_exact(p, q).distance == abs(c1 - c2)
     for c in range(5):
         for r1 in range(5):
             for r2 in range(5):
                 p, q = unit(5, 5, r1, c), unit(5, 5, r2, c)
-                assert qmwd_value(p, q) == mwd_exact(p, q).distance == abs(r1 - r2)
+                assert qmwd(p, q).qmwd == mwd_exact(p, q).distance == abs(r1 - r2)
 
 
 def test_all_zero_pair_is_zero():
     z = GridHistogram(3, 2, (0,) * 6)
-    assert qmwd_value(z, z) == 0
+    assert qmwd(z, z).qmwd == 0
 
 
 def test_errors():
