@@ -34,6 +34,7 @@ RECORDS_CSV_HEADER = (
     "m,n,trial,seed,mwd,wd_vec,qmwd,err_wd,err_qmwd,"
     "time_mwd_ns,time_qmwd_ns,time_wd_ns,excluded,fail_reason"
 )
+_RECORDS_CSV_FIELDS = RECORDS_CSV_HEADER.split(",")
 
 _MIX_MASK = (1 << 64) - 1
 _MIX_GAMMA = 0x9E3779B97F4A7C15
@@ -287,7 +288,7 @@ def emit_records_csv(records: Iterable[BenchRecord], dest: TextIO) -> None:
     """Write records with the fixed documented header. ``None`` becomes an
     empty field; floats use repr so parsing them back is lossless."""
     writer = csv.writer(dest, lineterminator="\n")
-    writer.writerow(RECORDS_CSV_HEADER.split(","))
+    writer.writerow(_RECORDS_CSV_FIELDS)
     for r in records:
         writer.writerow([_cell(getattr(r, f.name)) for f in fields(BenchRecord)])
 
@@ -311,7 +312,7 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
         header = next(reader)
     except StopIteration:
         raise InputFormatError("records CSV is empty") from None
-    if header != RECORDS_CSV_HEADER.split(","):
+    if header != _RECORDS_CSV_FIELDS:
         raise InputFormatError(
             f"unexpected records CSV header: {','.join(header)!r}"
         )
@@ -319,8 +320,10 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
-        if len(row) != 14:
-            raise InputFormatError(f"line {lineno}: expected 14 fields, got {len(row)}")
+        if len(row) != len(_RECORDS_CSV_FIELDS):
+            raise InputFormatError(
+                f"line {lineno}: expected {len(_RECORDS_CSV_FIELDS)} fields, got {len(row)}"
+            )
         try:
             out.append(
                 BenchRecord(

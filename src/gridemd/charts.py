@@ -9,7 +9,7 @@ library is used; the output is self-contained static SVG.
 from __future__ import annotations
 
 import math
-from typing import Sequence, TextIO
+from typing import Callable, Sequence, TextIO
 from xml.sax.saxutils import escape
 
 from .bench import SweepSummary
@@ -36,6 +36,10 @@ TIME_SERIES = (
 
 def _fmt(x: float) -> str:
     return f"{x:.2f}".rstrip("0").rstrip(".") or "0"
+
+
+def _time_label(ns: float) -> str:
+    return f"{ns / 1e6:g} ms" if ns >= 1e6 else f"{ns / 1e3:g} us" if ns >= 1e3 else f"{ns:g} ns"
 
 
 def _x_positions(ms: Sequence[int], x0: float, width: float) -> dict[int, float]:
@@ -116,12 +120,52 @@ def _polyline(parts: list[str], sid: str, color: str, pts: list[tuple[float, flo
         parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="{color}"/>')
 
 
+def _panel(
+    parts: list[str],
+    rows: Sequence[SweepSummary],
+    x0: float,
+    title: str,
+    series: Sequence[tuple[str, str, str, str]],
+    ticks: Sequence[float],
+    y_of: Callable[[float], float],
+    tick_label: Callable[[float], str],
+) -> None:
+    """One panel: frame, y grid with labels, one polyline per series, the
+    m axis, the axis title and the legend. ``y_of`` maps a value to its y."""
+    y0 = float(MARGIN_T)
+    ms = [s.m for s in rows]
+    xs = _x_positions(ms, x0 + 10, PANEL_W - 20)
+    _panel_frame(parts, x0, y0, title)
+    for tv in ticks:
+        y = y_of(tv)
+        parts.append(
+            f'<line x1="{x0:.1f}" y1="{y:.1f}" x2="{x0 + PANEL_W:.1f}" '
+            f'y2="{y:.1f}" stroke="#ddd" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{x0 - 6:.1f}" y="{y + 4:.1f}" font-size="11" '
+            f'text-anchor="end" fill="#444">{escape(tick_label(tv))}</text>'
+        )
+    for sid, field, color, _ in series:
+        pts = [
+            (xs[s.m], y_of(getattr(s, field)))
+            for s in rows
+            if getattr(s, field) is not None
+        ]
+        _polyline(parts, sid, color, pts)
+    _axis_x(parts, ms, xs, y0 + PANEL_H)
+    parts.append(
+        f'<text x="{x0 + PANEL_W / 2:.1f}" y="{y0 + PANEL_H + 38:.1f}" '
+        'font-size="12" text-anchor="middle" fill="#222">grid height m</text>'
+    )
+    _legend(parts, [(c, lbl) for _, _, c, lbl in series], x0 + 16, y0 + 20)
+
+
 def emit_svg(summaries: Sequence[SweepSummary], dest: TextIO) -> None:
     """Render the two-panel chart for the given per-size summaries."""
     if not summaries:
         raise EmptyInputError("no summaries to chart")
     rows = sorted(summaries, key=lambda s: s.m)
-    ms = [s.m for s in rows]
     n = rows[0].n
 
     total_w = MARGIN_L + PANEL_W + GAP + MARGIN_L + PANEL_W + MARGIN_R
@@ -133,49 +177,18 @@ def emit_svg(summaries: Sequence[SweepSummary], dest: TextIO) -> None:
     ]
 
     # Left panel: mean relative error, linear y starting at 0.
-    ex0, ey0 = float(MARGIN_L), float(MARGIN_T)
-    xs = _x_positions(ms, ex0 + 10, PANEL_W - 20)
-    _panel_frame(parts, ex0, ey0, f"Mean relative error vs exact (n={n})")
     err_top = max(
         (getattr(s, field) or 0.0 for s in rows for _, field, _, _ in ERROR_SERIES),
         default=0.0,
     )
     ticks = _linear_ticks(err_top if err_top > 0 else 1.0)
     top_val = ticks[-1]
-    for tv in ticks:
-        y = ey0 + PANEL_H - tv / top_val * (PANEL_H - 20)
-        parts.append(
-            f'<line x1="{ex0:.1f}" y1="{y:.1f}" x2="{ex0 + PANEL_W:.1f}" '
-            f'y2="{y:.1f}" stroke="#ddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{ex0 - 6:.1f}" y="{y + 4:.1f}" font-size="11" '
-            f'text-anchor="end" fill="#444">{_fmt(tv)}</text>'
-        )
-    for sid, field, color, _ in ERROR_SERIES:
-        pts = []
-        for s in rows:
-            v = getattr(s, field)
-            if v is None:
-                continue
-            pts.append((xs[s.m], ey0 + PANEL_H - v / top_val * (PANEL_H - 20)))
-        _polyline(parts, sid, color, pts)
-    _axis_x(parts, ms, xs, ey0 + PANEL_H)
-    parts.append(
-        f'<text x="{ex0 + PANEL_W / 2:.1f}" y="{ey0 + PANEL_H + 38:.1f}" '
-        'font-size="12" text-anchor="middle" fill="#222">grid height m</text>'
-    )
-    _legend(
-        parts,
-        [(c, lbl) for _, _, c, lbl in ERROR_SERIES],
-        ex0 + 16,
-        ey0 + 20,
+    _panel(
+        parts, rows, float(MARGIN_L), f"Mean relative error vs exact (n={n})",
+        ERROR_SERIES, ticks, lambda v: MARGIN_T + PANEL_H - v / top_val * (PANEL_H - 20), _fmt,
     )
 
     # Right panel: mean per-call time, log y.
-    tx0, ty0 = float(MARGIN_L + PANEL_W + GAP + MARGIN_L), float(MARGIN_T)
-    txs = _x_positions(ms, tx0 + 10, PANEL_W - 20)
-    _panel_frame(parts, tx0, ty0, "Mean time per call (log scale)")
     times = [
         max(float(getattr(s, field)), 1.0)
         for s in rows
@@ -189,38 +202,12 @@ def emit_svg(summaries: Sequence[SweepSummary], dest: TextIO) -> None:
     lo_l, hi_l = math.log10(lticks[0]), math.log10(lticks[-1])
 
     def ty(v: float) -> float:
-        frac = (math.log10(max(v, 1.0)) - lo_l) / (hi_l - lo_l)
-        return ty0 + PANEL_H - frac * (PANEL_H - 20)
+        frac = (math.log10(max(float(v), 1.0)) - lo_l) / (hi_l - lo_l)
+        return MARGIN_T + PANEL_H - frac * (PANEL_H - 20)
 
-    for tv in lticks:
-        y = ty(tv)
-        label = f"{tv / 1e6:g} ms" if tv >= 1e6 else f"{tv / 1e3:g} us" if tv >= 1e3 else f"{tv:g} ns"
-        parts.append(
-            f'<line x1="{tx0:.1f}" y1="{y:.1f}" x2="{tx0 + PANEL_W:.1f}" '
-            f'y2="{y:.1f}" stroke="#ddd" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{tx0 - 6:.1f}" y="{y + 4:.1f}" font-size="11" '
-            f'text-anchor="end" fill="#444">{escape(label)}</text>'
-        )
-    for sid, field, color, _ in TIME_SERIES:
-        pts = []
-        for s in rows:
-            v = getattr(s, field)
-            if v is None:
-                continue
-            pts.append((txs[s.m], ty(float(v))))
-        _polyline(parts, sid, color, pts)
-    _axis_x(parts, ms, txs, ty0 + PANEL_H)
-    parts.append(
-        f'<text x="{tx0 + PANEL_W / 2:.1f}" y="{ty0 + PANEL_H + 38:.1f}" '
-        'font-size="12" text-anchor="middle" fill="#222">grid height m</text>'
-    )
-    _legend(
-        parts,
-        [(c, lbl) for _, _, c, lbl in TIME_SERIES],
-        tx0 + 16,
-        ty0 + 20,
+    _panel(
+        parts, rows, float(MARGIN_L + PANEL_W + GAP + MARGIN_L), "Mean time per call (log scale)",
+        TIME_SERIES, lticks, ty, _time_label,
     )
 
     parts.append("</svg>")

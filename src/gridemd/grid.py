@@ -10,6 +10,7 @@ how large the grid or its cells are.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -77,7 +78,7 @@ def parse_grid(text: str) -> GridHistogram:
     """Parse grid text: one row per line, whitespace- or comma-separated
     nonnegative decimal integers. Blank lines are ignored.
     """
-    rows: list[list[int]] = []
+    flat: list[int] = []
     ncols = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.replace(",", " ").split()
@@ -89,15 +90,13 @@ def parse_grid(text: str) -> GridHistogram:
             raise RaggedRowsError(
                 f"line {lineno}: {len(tokens)} tokens, expected {ncols}"
             )
-        row = []
         for tok in tokens:
             if not (tok.isascii() and tok.isdigit()):
                 raise BadTokenError(f"line {lineno}: bad token {tok!r}")
-            row.append(int(tok))
-        rows.append(row)
-    if not rows:
+            flat.append(int(tok))
+    if not flat:
         raise EmptyGridError("grid text contains no rows")
-    return GridHistogram.from_rows(rows)
+    return GridHistogram(len(flat) // ncols, ncols, tuple(flat))
 
 
 def vec_row_major(g: GridHistogram) -> MassVector:
@@ -134,20 +133,23 @@ def total_mass(g: GridHistogram) -> int:
     return sum(g.cells)
 
 
-def check_pair(p: GridHistogram, q: GridHistogram) -> int:
-    """Check that two grids can be compared and return their common mass.
+def check_pair(p: GridHistogram, q: GridHistogram) -> tuple[int, ...]:
+    """Check that two grids can be compared and return ``p - q`` cell by cell.
 
-    Raises DimensionMismatchError for different shapes and MassMismatchError
-    for different totals.
+    The result is row-major like ``cells`` and sums to 0. Raises
+    DimensionMismatchError for different shapes and MassMismatchError for
+    different totals.
     """
     if p.shape != q.shape:
         raise DimensionMismatchError(
             f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}"
         )
-    mp, mq = total_mass(p), total_mass(q)
-    if mp != mq:
-        raise MassMismatchError(f"total masses differ: {mp} vs {mq}")
-    return mp
+    d = tuple(map(sub, p.cells, q.cells))
+    if sum(d):
+        raise MassMismatchError(
+            f"total masses differ: {total_mass(p)} vs {total_mass(q)}"
+        )
+    return d
 
 
 def format_grid(g: GridHistogram, sep: str = " ") -> str:

@@ -7,22 +7,23 @@ using Dijkstra with node potentials. Integer supplies make the transportation
 polytope's optima integral, so the distance and every plan amount are exact
 ints.
 
-Mass common to both grids stays where it is at zero cost: it is subtracted
-before the solve and reported as src == dst moves, so the returned plan's
-marginals always match the full input grids.
+Mass common to both grids stays where it is at zero cost. Cancelling it is
+the sign split of ``d = p - q``: surplus cells are where ``d`` is positive,
+deficit cells where it is negative, and only those enter the solve. The
+common mass ``min(p, q)`` is reported as src == dst moves, so the returned
+plan's marginals always match the full input grids.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from itertools import compress
+from operator import mul
 from typing import Iterable
 
 from .errors import MassTooLargeError
-from .grid import GridHistogram, check_pair
-
-# Not called here; perfbench/tracing.py rebinds this name on this module.
-from .grid import total_mass  # noqa: F401
+from .grid import GridHistogram, check_pair, total_mass
 
 Cell = tuple[int, int]
 
@@ -64,36 +65,32 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     plans are optimal an arbitrary one is returned; only the distance and
     the marginal properties are contractual.
     """
-    mass = check_pair(p, q)
-    if mass == 0:
-        return MwdResult(0, ())
+    d = check_pair(p, q)
     cols = p.cols
-    common = [min(a, b) for a, b in zip(p.cells, q.cells)]
-    sup = [(i, v - c) for i, (v, c) in enumerate(zip(p.cells, common)) if v > c]
-    dem = [(i, v - c) for i, (v, c) in enumerate(zip(q.cells, common)) if v > c]
-    dcoord = [(fd // cols, fd % cols) for fd, _ in dem]
+    nonzero = list(compress(enumerate(d), d))
+    sup = [(divmod(i, cols), v) for i, v in nonzero if v > 0]
+    dem = [(divmod(i, cols), -v) for i, v in nonzero if v < 0]
     cost_rows = [
-        [abs(fs // cols - di) + abs(fs % cols - dj) for di, dj in dcoord]
-        for fs, _ in sup
+        [abs(si - di) + abs(sj - dj) for (di, dj), _ in dem]
+        for (si, sj), _ in sup
     ]
-    stay_put = [
-        Move((i // cols, i % cols), (i // cols, i % cols), c)
-        for i, c in enumerate(common)
-        if c > 0
+    # Stay-put moves: a product of nonnegative cells is nonzero exactly
+    # where both grids are positive.
+    moves = [
+        Move(divmod(i, cols), divmod(i, cols), min(a, b))
+        for i, (a, b) in compress(
+            enumerate(zip(p.cells, q.cells)), map(mul, p.cells, q.cells)
+        )
     ]
 
     flow_by_d = _solve_transport([a for _, a in sup], [a for _, a in dem], cost_rows)
 
     distance = 0
-    moves = list(stay_put)
-    for d, flows in enumerate(flow_by_d):
-        fd, _ = dem[d]
-        dst = (fd // cols, fd % cols)
+    for k, flows in enumerate(flow_by_d):
+        dst = dem[k][0]
         for s, amt in flows.items():
-            fs, _ = sup[s]
-            src = (fs // cols, fs % cols)
-            distance += amt * cost_rows[s][d]
-            moves.append(Move(src, dst, amt))
+            distance += amt * cost_rows[s][k]
+            moves.append(Move(sup[s][0], dst, amt))
     moves.sort(key=lambda mv: (mv.src, mv.dst))
     return MwdResult(distance, tuple(moves))
 
@@ -104,7 +101,8 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
 
     Feasible only up to total mass ORACLE_MASS_LIMIT.
     """
-    mass = check_pair(p, q)
+    check_pair(p, q)
+    mass = total_mass(p)
     if mass > ORACLE_MASS_LIMIT:
         raise MassTooLargeError(f"oracle limited to mass {ORACLE_MASS_LIMIT}, got {mass}")
     if mass == 0:

@@ -8,7 +8,8 @@ vectorization makes horizontal neighbors adjacent but splits vertical
 neighbors by a full row length; the rotation and transposition give the
 column direction the same treatment, and the estimate
 ``work // row_length + work % row_length`` reinterprets each 1D work total
-as whole-row hops plus a remainder of single-cell hops.
+as whole-row hops plus a remainder of single-cell hops. All three passes
+read one vector, the cell-by-cell difference ``p - q``, in three orders.
 
 The estimate is neither a lower nor an upper bound: it can exceed the exact
 distance. On the 4x2 pair p = [[0,1],[0,0],[0,1],[0,0]],
@@ -72,17 +73,14 @@ def qmwd(p: GridHistogram, q: GridHistogram) -> QmwdBreakdown:
     Requires identical shapes and equal total mass; a pair of all-zero
     grids is allowed and yields an all-zero breakdown.
     """
-    check_pair(p, q)
+    d = check_pair(p, q)
     # The transposed grid's row-major vectorization is the columns in order;
     # the quarter-turned grid's is the same columns in reverse order.
     cols = p.cols
-    p_cols = [p.cells[j::cols] for j in range(cols)]
-    q_cols = [q.cells[j::cols] for j in range(cols)]
-    wd_row = prefix_work(p.cells, q.cells)
-    wd_rot = prefix_work(
-        chain.from_iterable(reversed(p_cols)), chain.from_iterable(reversed(q_cols))
-    )
-    wd_transp = prefix_work(chain.from_iterable(p_cols), chain.from_iterable(q_cols))
+    d_cols = [d[j::cols] for j in range(cols)]
+    wd_row = prefix_work(d)
+    wd_rot = prefix_work(chain.from_iterable(reversed(d_cols)))
+    wd_transp = prefix_work(chain.from_iterable(d_cols))
     # Row-major rows have length cols; the rotated and transposed grids are
     # cols x rows, so their rows have length rows.
     est_row = directional_estimate(wd_row, cols)

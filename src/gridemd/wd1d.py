@@ -5,9 +5,10 @@ optimal-transport cost has the closed form
 
     sum over i < len-1 of |prefix_a(i) - prefix_b(i)|
 
-which is computed in one pass with exact integer arithmetic. For an
-equal-mass pair the final prefix difference is 0, so the sum may run over
-every index. A brute-force oracle (unit expansion plus sorted pairing,
+where each term is a prefix sum of the difference ``a - b``, so one pass
+over that difference computes it with exact integer arithmetic. For an
+equal-mass pair the final prefix sum is 0, so the sum may run over every
+index. A brute-force oracle (unit expansion plus sorted pairing,
 optimal for convex 1D costs) is provided for cross-checking on small
 instances.
 """
@@ -47,16 +48,17 @@ def wd_1d(a: Sequence[int], b: Sequence[int]) -> int:
     at most total_mass * (len - 1).
     """
     _check_pair(a, b)
-    return prefix_work(a, b)
+    return prefix_work(map(sub, a, b))
 
 
-def prefix_work(a: Iterable[int], b: Iterable[int]) -> int:
-    """The 1D work of ``wd_1d`` without its checks.
+def prefix_work(d: Iterable[int]) -> int:
+    """The 1D work of ``wd_1d`` without its checks, from the difference
+    ``d = a - b`` taken entry by entry.
 
-    The caller guarantees that ``a`` and ``b`` have equal lengths, no
-    negative entries and equal totals; otherwise the result is meaningless.
+    The caller guarantees that ``d`` sums to 0, as the difference of two
+    equal-mass vectors does; otherwise the result is meaningless.
     """
-    return sum(map(abs, map(sub, accumulate(a), accumulate(b))))
+    return sum(map(abs, accumulate(d)))
 
 
 def wd_1d_oracle(a: Sequence[int], b: Sequence[int]) -> int:

@@ -9,8 +9,10 @@ import pytest
 
 from gridemd import (
     BadTokenError,
+    DimensionMismatchError,
     EmptyGridError,
     GridHistogram,
+    MassMismatchError,
     RaggedRowsError,
     format_grid,
     parse_grid,
@@ -19,6 +21,7 @@ from gridemd import (
     transpose,
     vec_row_major,
 )
+from gridemd.grid import check_pair
 from tests._util import random_grid
 
 
@@ -154,6 +157,16 @@ def test_vec_of_transpose_is_column_major():
 def test_total_mass():
     assert total_mass(GridHistogram.from_rows([[1, 2], [3, 4]])) == 10
     assert total_mass(GridHistogram(3, 3, (0,) * 9)) == 0
+
+
+def test_check_pair():
+    p = GridHistogram.from_rows([[3, 0], [1, 2]])
+    q = GridHistogram.from_rows([[1, 2], [0, 3]])
+    assert check_pair(p, q) == (2, -2, 1, -1)
+    with pytest.raises(DimensionMismatchError, match=r"^grids are 1x2 vs 2x1$"):
+        check_pair(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 0)))
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):
+        check_pair(GridHistogram(1, 2, (1, 0)), GridHistogram(1, 2, (1, 1)))
 
 
 def test_format_grid_round_trips():
