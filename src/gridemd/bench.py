@@ -22,7 +22,13 @@ import time
 from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Sequence, TextIO
 
-from .errors import EmptyInputError, GridEmdError, InputFormatError, PreconditionError
+from .errors import (
+    DimensionMismatchError,
+    EmptyInputError,
+    GridEmdError,
+    InputFormatError,
+    PreconditionError,
+)
 from .grid import GridHistogram, total_mass, vec_row_major
 from .mwd import mwd_exact
 from .qmwd import qmwd
@@ -82,7 +88,7 @@ def equalize_mass(
     one unit at a time at uniformly random cells (seeded, deterministic).
     """
     if p.shape != q.shape:
-        raise PreconditionError(f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}")
+        raise DimensionMismatchError(f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}")
     tp, tq = total_mass(p), total_mass(q)
     if tp == tq:
         return p, q

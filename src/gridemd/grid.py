@@ -18,6 +18,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyGridError,
     MassMismatchError,
+    PreconditionError,
     RaggedRowsError,
 )
 
@@ -39,15 +40,15 @@ class GridHistogram:
 
     def __post_init__(self) -> None:
         if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"grid dimensions must be >= 1, got {self.rows}x{self.cols}")
+            raise PreconditionError(f"grid dimensions must be >= 1, got {self.rows}x{self.cols}")
         if len(self.cells) != self.rows * self.cols:
-            raise ValueError(
+            raise PreconditionError(
                 f"expected {self.rows * self.cols} cells for a "
                 f"{self.rows}x{self.cols} grid, got {len(self.cells)}"
             )
         for v in self.cells:
             if not isinstance(v, int) or v < 0:
-                raise ValueError(f"cells must be nonnegative integers, got {v!r}")
+                raise PreconditionError(f"cells must be nonnegative integers, got {v!r}")
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int]]) -> "GridHistogram":

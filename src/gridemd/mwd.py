@@ -105,15 +105,13 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
     mass = total_mass(p)
     if mass > ORACLE_MASS_LIMIT:
         raise MassTooLargeError(f"oracle limited to mass {ORACLE_MASS_LIMIT}, got {mass}")
-    if mass == 0:
-        return 0
     cols = p.cols
     srcs: list[Cell] = []
     for idx, v in enumerate(p.cells):
-        srcs.extend([(idx // cols, idx % cols)] * v)
+        srcs.extend([divmod(idx, cols)] * v)
     dsts: list[Cell] = []
     for idx, v in enumerate(q.cells):
-        dsts.extend([(idx // cols, idx % cols)] * v)
+        dsts.extend([divmod(idx, cols)] * v)
     n = mass
     cost = [[manhattan_cost(s, d) for d in dsts] for s in srcs]
     full = (1 << n) - 1
@@ -140,105 +138,83 @@ def _solve_transport(
 ) -> list[dict[int, int]]:
     """Min-cost balanced transportation via successive shortest paths.
 
-    ``cost_rows[s][d]`` is the (nonnegative int) arc cost from source s to
-    sink d; every source-sink arc exists with unlimited capacity. Returns
+    ``cost_rows[s][k]`` is the (nonnegative int) arc cost from source s to
+    sink k; every source-sink arc exists with unlimited capacity. Returns
     one dict per sink mapping source index to shipped amount.
 
-    Each round runs Dijkstra over the residual graph with node potentials
-    (so reduced costs stay nonnegative), stops at the first settled sink
-    with remaining demand, augments along the shortest path, and updates
-    potentials capped at the target distance.
+    Node ``s < ns`` is source s and node ``ns + k`` is sink k. Each round
+    runs Dijkstra over the residual graph (forward arcs source -> sink at
+    ``cost_rows[s][k]``, one backward arc per positive flow at minus that
+    cost) from every source with supply left, stops at the first settled
+    sink with demand left, augments along the shortest path, and adds
+    ``min(dist, target distance)`` to each node's potential. Under these
+    capped potentials every residual arc keeps a nonnegative reduced cost,
+    so no settled node can be improved: a heap entry is stale exactly when
+    its distance exceeds ``dist[node]``. At equal distance sources pop
+    before sinks, and lower indices first.
     """
-    ns, nd = len(supplies), len(demands)
-    rem_sup = list(supplies)
-    rem_dem = list(demands)
-    pot_s = [0] * ns
-    pot_d = [0] * nd
-    flow_by_d: list[dict[int, int]] = [{} for _ in range(nd)]
-    remaining = sum(rem_dem)
+    ns = len(supplies)
+    rem = supplies + demands
+    pot = [0] * len(rem)
+    flow_by_d: list[dict[int, int]] = [{} for _ in demands]
+    remaining = sum(demands)
     inf = float("inf")
 
     while remaining > 0:
-        dist_s: list[int | float] = [inf] * ns
-        dist_d: list[int | float] = [inf] * nd
-        done_s = [False] * ns
-        done_d = [False] * nd
-        par_d = [-1] * nd  # source whose forward arc settled this sink
-        par_s = [-1] * ns  # sink whose backward arc settled this source (-1: root)
-        heap: list[tuple[int, int, int]] = []
+        dist: list[int | float] = [inf] * len(rem)
+        par = [-1] * len(rem)  # predecessor node on the shortest path (-1: root)
+        heap: list[tuple[int | float, int]] = []
         for s in range(ns):
-            if rem_sup[s] > 0:
-                dist_s[s] = 0
-                heap.append((0, 0, s))
-        heapq.heapify(heap)
-        target = -1
+            if rem[s] > 0:
+                dist[s] = 0
+                heap.append((0, s))  # ascending, hence already a heap
         while heap:
-            du, kind, u = heapq.heappop(heap)
-            if kind == 0:
-                if done_s[u]:
-                    continue
-                done_s[u] = True
-                row = cost_rows[u]
-                base = du + pot_s[u]
-                for d in range(nd):
-                    if done_d[d]:
-                        continue
-                    alt = base + row[d] - pot_d[d]
-                    if alt < dist_d[d]:
-                        dist_d[d] = alt
-                        par_d[d] = u
-                        heapq.heappush(heap, (alt, 1, d))
-            else:
-                if done_d[u]:
-                    continue
-                done_d[u] = True
-                if rem_dem[u] > 0:
-                    target = u
-                    break
-                base = du + pot_d[u]
-                for s, f in flow_by_d[u].items():
-                    if f > 0 and not done_s[s]:
-                        alt = base - cost_rows[s][u] - pot_s[s]
-                        if alt < dist_s[s]:
-                            dist_s[s] = alt
-                            par_s[s] = u
-                            heapq.heappush(heap, (alt, 0, s))
-        if target < 0:
-            raise AssertionError("balanced transportation instance became infeasible")
-        dt = dist_d[target]
-        for s in range(ns):
-            pot_s[s] += min(dist_s[s], dt)
-        for d in range(nd):
-            pot_d[d] += min(dist_d[d], dt)
-
-        # Trace the augmenting path back to its root source.
-        fwd: list[tuple[int, int]] = []
-        bwd: list[tuple[int, int]] = []
-        d = target
-        while True:
-            s = par_d[d]
-            fwd.append((s, d))
-            prev_d = par_s[s]
-            if prev_d == -1:
-                root = s
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            base = du + pot[u]
+            if u < ns:
+                for v, c in enumerate(cost_rows[u], ns):
+                    alt = base + c - pot[v]
+                    if alt < dist[v]:
+                        dist[v] = alt
+                        par[v] = u
+                        heapq.heappush(heap, (alt, v))
+            elif rem[u] > 0:
                 break
-            bwd.append((s, prev_d))
-            d = prev_d
-        delta = min(rem_sup[root], rem_dem[target])
-        for s, d in bwd:
-            f = flow_by_d[d][s]
-            if f < delta:
-                delta = f
-        for s, d in fwd:
-            flow_by_d[d][s] = flow_by_d[d].get(s, 0) + delta
-        for s, d in bwd:
-            f = flow_by_d[d][s] - delta
-            if f:
-                flow_by_d[d][s] = f
             else:
-                del flow_by_d[d][s]
-        rem_sup[root] -= delta
-        rem_dem[target] -= delta
+                k = u - ns
+                for s in flow_by_d[k]:
+                    alt = base - cost_rows[s][k] - pot[s]
+                    if alt < dist[s]:
+                        dist[s] = alt
+                        par[s] = u
+                        heapq.heappush(heap, (alt, s))
+        else:
+            raise AssertionError("balanced transportation instance became infeasible")
+        pot = [p + (d if d < du else du) for p, d in zip(pot, dist)]
+
+        # The path alternates sink, source, ..., sink, source from the
+        # target back to its root source.
+        path = [u]
+        while par[u] >= 0:
+            u = par[u]
+            path.append(u)
+        srcs = path[1::2]
+        sinks = [v - ns for v in path[::2]]
+        target, root = path[0], srcs[-1]
+        back = [flow_by_d[k][s] for s, k in zip(srcs, sinks[1:])]
+        delta = min(rem[target], rem[root], *back)
+        for s, k in zip(srcs, sinks):
+            flow_by_d[k][s] = flow_by_d[k].get(s, 0) + delta
+        for s, k in zip(srcs, sinks[1:]):
+            f = flow_by_d[k][s] - delta
+            if f:
+                flow_by_d[k][s] = f
+            else:
+                del flow_by_d[k][s]
+        rem[root] -= delta
+        rem[target] -= delta
         remaining -= delta
 
     return flow_by_d

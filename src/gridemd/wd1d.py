@@ -27,15 +27,11 @@ ORACLE_MASS_LIMIT = 64
 def _check_pair(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise LengthMismatchError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    ta = tb = 0
-    for v in a:
-        if v < 0:
-            raise NegativeEntryError(f"negative mass {v!r}")
-        ta += v
-    for v in b:
-        if v < 0:
-            raise NegativeEntryError(f"negative mass {v!r}")
-        tb += v
+    for vec in (a, b):
+        if min(vec, default=0) < 0:
+            neg = next(v for v in vec if v < 0)
+            raise NegativeEntryError(f"negative mass {neg!r}")
+    ta, tb = sum(a), sum(b)
     if ta != tb:
         raise MassMismatchError(f"total masses differ: {ta} vs {tb}")
     return ta

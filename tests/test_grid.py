@@ -11,6 +11,7 @@ from gridemd import (
     BadTokenError,
     DimensionMismatchError,
     EmptyGridError,
+    GridEmdError,
     GridHistogram,
     MassMismatchError,
     RaggedRowsError,
@@ -42,6 +43,12 @@ def test_construction_rejects_bad_inputs():
         GridHistogram(1, 2, (1, -1))
     with pytest.raises(ValueError):
         GridHistogram(1, 2, (1, 1.5))
+
+
+def test_construction_errors_are_typed():
+    for rows, cols, cells in ((0, 2, ()), (2, 2, (1, 2, 3)), (1, 2, (1, -1)), (1, 2, (1, 1.5))):
+        with pytest.raises(GridEmdError):
+            GridHistogram(rows, cols, cells)
 
 
 def test_from_rows():

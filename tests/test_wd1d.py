@@ -42,6 +42,17 @@ def test_errors():
         wd_1d_oracle((65, 0), (0, 65))
 
 
+def test_error_messages():
+    with pytest.raises(LengthMismatchError, match=r"^vector lengths differ: 2 vs 3$"):
+        wd_1d((1, -1), (1, 0, 0))
+    with pytest.raises(NegativeEntryError, match=r"^negative mass -2$"):
+        wd_1d((1, -2, -1), (-3, 0, 0))
+    with pytest.raises(NegativeEntryError, match=r"^negative mass -1$"):
+        wd_1d((0, 0), (1, -1))
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):
+        wd_1d((1, 0), (1, 1))
+
+
 def test_oracle_worked_values():
     assert wd_1d_oracle((1, 1), (1, 1)) == 0
     assert wd_1d_oracle((1, 0), (0, 1)) == 1
