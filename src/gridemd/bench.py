@@ -36,12 +36,6 @@ from .wd1d import wd_1d
 
 TIMING_REPETITIONS = 3
 
-RECORDS_CSV_HEADER = (
-    "m,n,trial,seed,mwd,wd_vec,qmwd,err_wd,err_qmwd,"
-    "time_mwd_ns,time_qmwd_ns,time_wd_ns,excluded,fail_reason"
-)
-_RECORDS_CSV_FIELDS = RECORDS_CSV_HEADER.split(",")
-
 _MIX_MASK = (1 << 64) - 1
 _MIX_GAMMA = 0x9E3779B97F4A7C15
 
@@ -152,6 +146,22 @@ class BenchRecord:
     fail_reason: str
 
 
+# The records CSV has one column per BenchRecord field, in field order.
+_RECORDS_CSV_FIELDS = [f.name for f in fields(BenchRecord)]
+RECORDS_CSV_HEADER = ",".join(_RECORDS_CSV_FIELDS)
+
+
+def _column_parser(annotation: str) -> Callable[[str], object]:
+    """Cell parser for a BenchRecord field annotated ``int``, ``float``,
+    ``bool`` (written 0/1) or ``str``; ``X | None`` reads "" as None."""
+    kind, optional, _ = annotation.partition(" | None")
+    parse = {"int": int, "float": float, "bool": lambda t: bool(int(t)), "str": str}[kind]
+    return (lambda t: None if t == "" else parse(t)) if optional else parse
+
+
+_RECORDS_CSV_PARSERS = [_column_parser(f.type) for f in fields(BenchRecord)]
+
+
 @dataclass(frozen=True)
 class SweepSummary:
     """Per-size aggregate over the records of one m value."""
@@ -186,49 +196,33 @@ def _timed(fn: Callable[[], int]) -> tuple[int, int]:
 
 def _run_trial(cfg: SweepConfig, m: int, trial: int) -> BenchRecord:
     tseed = derive_seed(cfg.master_seed, m, trial)
-    base = dict(
-        m=m,
-        n=cfg.n_fixed,
-        trial=trial,
-        seed=tseed,
-        mwd=None,
-        wd_vec=None,
-        qmwd=None,
-        err_wd=None,
-        err_qmwd=None,
-        time_mwd_ns=None,
-        time_qmwd_ns=None,
-        time_wd_ns=None,
-        excluded=True,
-        fail_reason="",
-    )
+    mwd = wd_vec = quasi = time_mwd = time_qmwd = time_wd = None
+    fail_reason = ""
     try:
         p = gen_random_grid(m, cfg.n_fixed, derive_seed(tseed, 1), cfg.cell_max)
         q = gen_random_grid(m, cfg.n_fixed, derive_seed(tseed, 2), cfg.cell_max)
         p, q = equalize_mass(p, q, derive_seed(tseed, 3))
 
         vp, vq = vec_row_major(p), vec_row_major(q)
-        base["wd_vec"], base["time_wd_ns"] = _timed(lambda: wd_1d(vp, vq))
-        base["qmwd"], base["time_qmwd_ns"] = _timed(lambda: qmwd(p, q).qmwd)
-
-        mass = total_mass(p)
-        if cfg.mwd_mass_cap is not None and mass > cfg.mwd_mass_cap:
-            base["fail_reason"] = "mass_cap"
-            return BenchRecord(**base)
-
-        base["mwd"], base["time_mwd_ns"] = _timed(lambda: mwd_exact(p, q).distance)
+        wd_vec, time_wd = _timed(lambda: wd_1d(vp, vq))
+        quasi, time_qmwd = _timed(lambda: qmwd(p, q).qmwd)
+        if cfg.mwd_mass_cap is not None and total_mass(p) > cfg.mwd_mass_cap:
+            fail_reason = "mass_cap"
+        else:
+            mwd, time_mwd = _timed(lambda: mwd_exact(p, q).distance)
+            if mwd == 0:
+                fail_reason = "zero_mwd"
     except GridEmdError as exc:
-        base["fail_reason"] = f"error:{type(exc).__name__}"
-        return BenchRecord(**base)
+        fail_reason = f"error:{type(exc).__name__}"
 
-    mwd = base["mwd"]
-    if mwd == 0:
-        base["fail_reason"] = "zero_mwd"
-        return BenchRecord(**base)
-    base["err_wd"] = abs(mwd - base["wd_vec"]) / mwd
-    base["err_qmwd"] = abs(mwd - base["qmwd"]) / mwd
-    base["excluded"] = False
-    return BenchRecord(**base)
+    excluded = fail_reason != ""
+    return BenchRecord(
+        m=m, n=cfg.n_fixed, trial=trial, seed=tseed, mwd=mwd, wd_vec=wd_vec, qmwd=quasi,
+        err_wd=None if excluded else abs(mwd - wd_vec) / mwd,
+        err_qmwd=None if excluded else abs(mwd - quasi) / mwd,
+        time_mwd_ns=time_mwd, time_qmwd_ns=time_qmwd, time_wd_ns=time_wd,
+        excluded=excluded, fail_reason=fail_reason,
+    )
 
 
 def run_sweep(cfg: SweepConfig) -> list[BenchRecord]:
@@ -296,15 +290,7 @@ def emit_records_csv(records: Iterable[BenchRecord], dest: TextIO) -> None:
     writer = csv.writer(dest, lineterminator="\n")
     writer.writerow(_RECORDS_CSV_FIELDS)
     for r in records:
-        writer.writerow([_cell(getattr(r, f.name)) for f in fields(BenchRecord)])
-
-
-def _opt_int(text: str) -> int | None:
-    return None if text == "" else int(text)
-
-
-def _opt_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+        writer.writerow([_cell(getattr(r, name)) for name in _RECORDS_CSV_FIELDS])
 
 
 def read_records_csv(src: TextIO) -> list[BenchRecord]:
@@ -331,24 +317,7 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
                 f"line {lineno}: expected {len(_RECORDS_CSV_FIELDS)} fields, got {len(row)}"
             )
         try:
-            out.append(
-                BenchRecord(
-                    m=int(row[0]),
-                    n=int(row[1]),
-                    trial=int(row[2]),
-                    seed=int(row[3]),
-                    mwd=_opt_int(row[4]),
-                    wd_vec=_opt_int(row[5]),
-                    qmwd=_opt_int(row[6]),
-                    err_wd=_opt_float(row[7]),
-                    err_qmwd=_opt_float(row[8]),
-                    time_mwd_ns=_opt_int(row[9]),
-                    time_qmwd_ns=_opt_int(row[10]),
-                    time_wd_ns=_opt_int(row[11]),
-                    excluded=bool(int(row[12])),
-                    fail_reason=row[13],
-                )
-            )
+            out.append(BenchRecord(*(parse(v) for parse, v in zip(_RECORDS_CSV_PARSERS, row))))
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
     return out

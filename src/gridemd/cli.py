@@ -109,11 +109,12 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     q = _load_grid(args.file_q)
 
     out: dict[str, object] = {"m": p.rows, "n": p.cols}
-    plan = None
+    plan_rows: list[list[int]] = []
     if args.metric in ("mwd", "all"):
         res = mwd_exact(p, q)
         out["mwd"] = res.distance
-        plan = res.plan
+        if args.plan:
+            plan_rows = [[*mv.src, *mv.dst, mv.amount] for mv in res.plan]
     if args.metric in ("wdvec", "all"):
         out["wd_vec"] = wd_1d(vec_row_major(p), vec_row_major(q))
     if args.metric in ("qmwd", "all"):
@@ -121,10 +122,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
     if args.json:
         if args.plan:
-            out["plan"] = [
-                [mv.src[0], mv.src[1], mv.dst[0], mv.dst[1], mv.amount]
-                for mv in plan or ()
-            ]
+            out["plan"] = plan_rows
         print(json.dumps(out))
         return 0
 
@@ -132,10 +130,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         if key in out:
             print(f"{key} {out[key]}")
     if args.plan:
-        moves = plan or ()
-        print(f"plan {len(moves)}")
-        for mv in moves:
-            print(f"{mv.src[0]} {mv.src[1]} {mv.dst[0]} {mv.dst[1]} {mv.amount}")
+        print(f"plan {len(plan_rows)}")
+        for row in plan_rows:
+            print(*row)
     return 0
 
 

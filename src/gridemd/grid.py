@@ -91,10 +91,11 @@ def parse_grid(text: str) -> GridHistogram:
             raise RaggedRowsError(
                 f"line {lineno}: {len(tokens)} tokens, expected {ncols}"
             )
-        for tok in tokens:
-            if not (tok.isascii() and tok.isdigit()):
-                raise BadTokenError(f"line {lineno}: bad token {tok!r}")
-            flat.append(int(tok))
+        joined = "".join(tokens)
+        if not (joined.isascii() and joined.isdigit()):
+            bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
+            raise BadTokenError(f"line {lineno}: bad token {bad!r}")
+        flat.extend(map(int, tokens))
     if not flat:
         raise EmptyGridError("grid text contains no rows")
     return GridHistogram(len(flat) // ncols, ncols, tuple(flat))

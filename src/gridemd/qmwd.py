@@ -138,22 +138,15 @@ def normalize_pair(
     tq = sum(v for row in sq for v in row)
     if tp == 0 or tq == 0:
         raise AllZeroError("a grid scaled to zero total mass; increase digits")
-    if tp != tq:
-        residue = abs(tp - tq)
-        if 100 * residue > max(tp, tq):
-            raise ResidueTooLargeError(
-                f"rounding residue {residue} exceeds 1% of total mass {max(tp, tq)}"
-            )
-        lighter = sp if tp < tq else sq
-        bi = bj = 0
-        best = -1
-        for i, row in enumerate(lighter):
-            for j, v in enumerate(row):
-                if v > best:
-                    best, bi, bj = v, i, j
-        lighter[bi][bj] += residue
-    return (
-        GridHistogram.from_rows(sp),
-        GridHistogram.from_rows(sq),
-        scale,
-    )
+    residue = abs(tp - tq)
+    if 100 * residue > max(tp, tq):
+        raise ResidueTooLargeError(
+            f"rounding residue {residue} exceeds 1% of total mass {max(tp, tq)}"
+        )
+    p, q = GridHistogram.from_rows(sp), GridHistogram.from_rows(sq)
+    if residue:
+        cells = list((p if tp < tq else q).cells)
+        cells[cells.index(max(cells))] += residue
+        repaired = GridHistogram(p.rows, p.cols, tuple(cells))
+        p, q = (repaired, q) if tp < tq else (p, repaired)
+    return p, q, scale

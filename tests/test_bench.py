@@ -196,6 +196,11 @@ def test_records_csv_round_trip():
     records = run_sweep(
         SweepConfig(n_fixed=3, m_min=2, m_max=4, trials_per_m=5, mwd_mass_cap=60)
     )
+    # zero_mwd rows: mwd=0 with empty error cells.
+    records += run_sweep(
+        SweepConfig(n_fixed=1, m_min=1, m_max=1, trials_per_m=3, cell_max=1)
+    )
+    assert {r.fail_reason for r in records} == {"", "mass_cap", "zero_mwd"}
     buf = io.StringIO()
     emit_records_csv(records, buf)
     text = buf.getvalue()

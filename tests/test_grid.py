@@ -91,9 +91,13 @@ def test_parse_grid_empty():
 
 
 def test_parse_grid_bad_tokens():
-    for text in ("1 x", "-1 2", "1.5", "1e3"):
+    # The grammar is ASCII decimal digits only: int() accepts "+2", "1_0" and
+    # Arabic-Indic three, and str.isdigit() accepts the last two.
+    for text in ("1 x", "-1 2", "1.5", "1e3", "+2", "1_0", "\u0663", "\u00b2"):
         with pytest.raises(BadTokenError):
             parse_grid(text)
+    with pytest.raises(BadTokenError, match=r"^line 1: bad token 'x'$"):
+        parse_grid("1 2 x y")
 
 
 def test_vec_row_major():
