@@ -14,10 +14,13 @@ from typing import Sequence
 from .bench import SweepConfig, aggregate, emit_records_csv, read_records_csv, run_sweep
 from .charts import emit_svg
 from .errors import EmptyInputError, InputFormatError, PreconditionError
-from .grid import GridHistogram, parse_grid, vec_row_major
+from .grid import GridHistogram, check_pair, parse_grid
 from .mwd import mwd_exact
 from .qmwd import qmwd
-from .wd1d import wd_1d
+from .wd1d import prefix_work
+
+# Not called here; perfbench/tracing.py rebinds this name on this module.
+from .wd1d import wd_1d  # noqa: F401
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -116,7 +119,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         if args.plan:
             plan_rows = [[*mv.src, *mv.dst, mv.amount] for mv in res.plan]
     if args.metric in ("wdvec", "all"):
-        out["wd_vec"] = wd_1d(vec_row_major(p), vec_row_major(q))
+        out["wd_vec"] = prefix_work(check_pair(p, q))
     if args.metric in ("qmwd", "all"):
         out["qmwd"] = qmwd(p, q).qmwd
 

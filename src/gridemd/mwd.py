@@ -1,17 +1,24 @@
 """Exact earth mover's distance between equal-mass grids under Manhattan cost.
 
-The minimum is found by solving the balanced transportation problem between
-surplus cells (where p exceeds q) and deficit cells (where q exceeds p) with
-successive shortest augmenting paths over the bipartite residual graph,
-using Dijkstra with node potentials. Integer supplies make the transportation
-polytope's optima integral, so the distance and every plan amount are exact
-ints.
-
 Mass common to both grids stays where it is at zero cost. Cancelling it is
 the sign split of ``d = p - q``: surplus cells are where ``d`` is positive,
-deficit cells where it is negative, and only those enter the solve. The
+deficit cells where it is negative, and only ``d`` enters the solve. The
 common mass ``min(p, q)`` is reported as src == dst moves, so the returned
 plan's marginals always match the full input grids.
+
+Two exact engines solve for ``d``; ``mwd_exact`` picks one by the input's
+shape alone. With S surplus and D deficit cells among N:
+
+- ``S * D > GRID_ENGINE_RATIO * N`` (dense): ``_solve_grid``, a primal-dual
+  min-cost flow on the 4-neighbour grid graph, whose O(N) unit-cost arcs
+  carry the Manhattan cost (EMD-L1, Ling & Okada 2007);
+- otherwise (sparse): ``_solve_transport``, successive shortest paths on
+  the bipartite surplus x deficit graph, whose S * D arcs each cost the
+  Manhattan distance of their ends.
+
+Integer supplies make both problems' optima integral, so the distance and
+every plan amount are exact ints. Both engines give the same distance; when
+several plans are optimal they may return different ones.
 """
 
 from __future__ import annotations
@@ -28,6 +35,13 @@ from .grid import GridHistogram, check_pair, total_mass
 Cell = tuple[int, int]
 
 ORACLE_MASS_LIMIT = 12
+# The grid engine runs when surplus cells x deficit cells exceeds this many
+# times the cell count. Measured crossovers (both engines on the same pairs):
+# ≈ 3-4 on small dense grids (8x8 and 10x10, cells 0..1) and ≈ 5-7 on
+# 24x24 to 64x64 grids of point masses; at 12x12 with cells 0..9 (ratio ≈ 29)
+# the grid engine is ≈ 6-13x faster, at 128x128 with 32 point masses per grid
+# (ratio ≈ 0.06) it is ≈ 150-190x slower.
+GRID_ENGINE_RATIO = 5
 
 
 @dataclass(frozen=True)
@@ -64,33 +78,39 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     of zero are allowed and give distance 0 with an empty plan. When several
     plans are optimal an arbitrary one is returned; only the distance and
     the marginal properties are contractual.
+
+    The engine follows from the input: with S surplus and D deficit cells
+    among N, ``_solve_grid`` runs when ``S * D > GRID_ENGINE_RATIO * N`` and
+    ``_solve_transport`` otherwise. Both are exact, so the choice changes
+    the time taken and possibly which optimal plan is returned, never the
+    distance.
     """
     d = check_pair(p, q)
     cols = p.cols
     nonzero = list(compress(enumerate(d), d))
-    sup = [(divmod(i, cols), v) for i, v in nonzero if v > 0]
-    dem = [(divmod(i, cols), -v) for i, v in nonzero if v < 0]
-    cost_rows = [
-        [abs(si - di) + abs(sj - dj) for (di, dj), _ in dem]
-        for (si, sj), _ in sup
-    ]
+    sup = [(i, v) for i, v in nonzero if v > 0]
+    dem = [(i, -v) for i, v in nonzero if v < 0]
     # Stay-put moves: a product of nonnegative cells is nonzero exactly
     # where both grids are positive.
     moves = [
-        Move(divmod(i, cols), divmod(i, cols), min(a, b))
+        Move(c := divmod(i, cols), c, min(a, b))
         for i, (a, b) in compress(
             enumerate(zip(p.cells, q.cells)), map(mul, p.cells, q.cells)
         )
     ]
 
-    flow_by_d = _solve_transport([a for _, a in sup], [a for _, a in dem], cost_rows)
+    if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(d):
+        shipped = _solve_grid(d, p.rows, cols)
+    else:
+        shipped = _solve_transport(sup, dem, cols)
 
+    # One (row, col) tuple per active cell, shared by every move it is in.
+    cell = {i: divmod(i, cols) for i, _ in nonzero}
     distance = 0
-    for k, flows in enumerate(flow_by_d):
-        dst = dem[k][0]
-        for s, amt in flows.items():
-            distance += amt * cost_rows[s][k]
-            moves.append(Move(sup[s][0], dst, amt))
+    for s, t, amt in shipped:
+        src, dst = cell[s], cell[t]
+        distance += amt * manhattan_cost(src, dst)
+        moves.append(Move(src, dst, amt))
     moves.sort(key=lambda mv: (mv.src, mv.dst))
     return MwdResult(distance, tuple(moves))
 
@@ -134,13 +154,16 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
 
 
 def _solve_transport(
-    supplies: list[int], demands: list[int], cost_rows: list[list[int]]
-) -> list[dict[int, int]]:
-    """Min-cost balanced transportation via successive shortest paths.
+    sup: list[tuple[int, int]], dem: list[tuple[int, int]], cols: int
+) -> list[tuple[int, int, int]]:
+    """Min-cost balanced transportation via successive shortest paths: the
+    sparse engine of ``mwd_exact``.
 
-    ``cost_rows[s][k]`` is the (nonnegative int) arc cost from source s to
-    sink k; every source-sink arc exists with unlimited capacity. Returns
-    one dict per sink mapping source index to shipped amount.
+    ``sup`` and ``dem`` list the surplus and deficit cells as (flat index,
+    amount) in row-major order; every surplus-deficit arc exists with
+    unlimited capacity and costs the Manhattan distance of its ends. Returns
+    the shipped amounts as ``(source, sink, amount)`` with flat cell indices,
+    at most one entry per pair.
 
     Node ``s < ns`` is source s and node ``ns + k`` is sink k. Each round
     runs Dijkstra over the residual graph (forward arcs source -> sink at
@@ -153,11 +176,14 @@ def _solve_transport(
     its distance exceeds ``dist[node]``. At equal distance sources pop
     before sinks, and lower indices first.
     """
-    ns = len(supplies)
-    rem = supplies + demands
+    src = [divmod(i, cols) for i, _ in sup]
+    dst = [divmod(i, cols) for i, _ in dem]
+    cost_rows = [[abs(si - di) + abs(sj - dj) for di, dj in dst] for si, sj in src]
+    ns = len(sup)
+    rem = [a for _, a in sup + dem]
     pot = [0] * len(rem)
-    flow_by_d: list[dict[int, int]] = [{} for _ in demands]
-    remaining = sum(demands)
+    flow_by_d: list[dict[int, int]] = [{} for _ in dem]
+    remaining = sum(rem[ns:])
     inf = float("inf")
 
     while remaining > 0:
@@ -217,4 +243,145 @@ def _solve_transport(
         rem[target] -= delta
         remaining -= delta
 
-    return flow_by_d
+    return [
+        (sup[s][0], dem[k][0], amt)
+        for k, flows in enumerate(flow_by_d)
+        for s, amt in flows.items()
+    ]
+
+
+def _grid_arcs(rows: int, cols: int) -> list[list[tuple[int, int]]]:
+    """Out-arcs ``(head, arc)`` of every cell of the 4-neighbour grid graph.
+
+    Edge e joins a cell to its right or lower neighbour; arc ``2e`` runs
+    along it from the lower flat index and arc ``2e + 1 = 2e ^ 1`` back.
+    """
+    n = rows * cols
+    edges = [(u, u + 1) for u in range(n) if (u + 1) % cols]
+    edges += [(u, u + cols) for u in range(n - cols)]
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for e, (u, w) in enumerate(edges):
+        adj[u].append((w, 2 * e))
+        adj[w].append((u, 2 * e + 1))
+    return adj
+
+
+def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> list[tuple[int, int, int]]:
+    """Min-cost flow of ``d = p - q`` on the grid graph, by primal-dual
+    rounds: the dense engine of ``mwd_exact``.
+
+    Every cell is a node and every pair of 4-neighbours is joined by arcs of
+    unlimited capacity and cost 1 each way, so a flow's cost is its
+    Manhattan work. ``flow[a]`` is the flow on arc ``a``; at most one arc of
+    an edge carries flow, and pushing against it costs -1 until it is
+    cancelled. Each round runs Dijkstra with node potentials from every
+    cell with surplus left, stops at the first deficit cell it settles (at
+    distance D), and adds ``min(dist, D)`` to each potential, which keeps
+    every reduced cost nonnegative; then depth-first search with current-arc
+    pointers augments along zero-reduced-cost arcs, never revisiting a node
+    on its path, until no such path is found.
+
+    Every arc costs at least 1, so an optimal flow has no cycle and splits
+    into source-to-sink paths; a path is never longer than the Manhattan
+    distance of its ends, or rerouting it would be cheaper. Returns the
+    split as ``(source, sink, amount)`` with flat cell indices, at most one
+    entry per pair.
+    """
+    n = len(d)
+    adj = _grid_arcs(rows, cols)
+    flow = [0] * (2 * (2 * n - rows - cols))
+    exc = list(d)
+    pot = [0] * n
+    left = sum(v for v in d if v > 0)
+    inf = float("inf")
+
+    while left:
+        dist: list[int | float] = [inf] * n
+        heap = [(0, u) for u, v in enumerate(exc) if v > 0]  # sorted, hence a heap
+        for _, u in heap:
+            dist[u] = 0
+        while heap:
+            du, u = heapq.heappop(heap)
+            if du > dist[u]:
+                continue
+            if exc[u] < 0:
+                break
+            base = du + pot[u]
+            for w, a in adj[u]:
+                alt = base - pot[w] + (-1 if flow[a ^ 1] else 1)
+                if alt < dist[w]:
+                    dist[w] = alt
+                    heapq.heappush(heap, (alt, w))
+        else:
+            raise AssertionError("balanced flow instance became infeasible")
+        pot = [p + (x if x < du else du) for p, x in zip(pot, dist)]
+
+        ptr = [0] * n
+        on_path = [False] * n
+        for s in range(n):
+            while exc[s] > 0:
+                path, arcs = [s], []
+                on_path[s] = True
+                u = s
+                while exc[u] >= 0:
+                    out, pu = adj[u], pot[u]
+                    for i in range(ptr[u], len(out)):
+                        w, a = out[i]
+                        if pot[w] == pu + (-1 if flow[a ^ 1] else 1) and not on_path[w]:
+                            ptr[u] = i
+                            on_path[w] = True
+                            path.append(w)
+                            arcs.append(a)
+                            u = w
+                            break
+                    else:
+                        ptr[u] = len(out)
+                        on_path[u] = False
+                        path.pop()
+                        if not path:
+                            break
+                        arcs.pop()
+                        u = path[-1]
+                        ptr[u] += 1
+                if not path:
+                    break
+                delta = min(exc[s], -exc[u])
+                for a in arcs:
+                    back = flow[a ^ 1]
+                    if back and back < delta:
+                        delta = back
+                for a in arcs:
+                    if flow[a ^ 1]:
+                        flow[a ^ 1] -= delta
+                    else:
+                        flow[a] += delta
+                for w in path:
+                    on_path[w] = False
+                exc[s] -= delta
+                exc[u] += delta
+                left -= delta
+
+    shipped: dict[tuple[int, int], int] = {}
+    rest = list(d)
+    ptr = [0] * n
+    for s in range(n):
+        while rest[s] > 0:
+            u, amt, arcs = s, rest[s], []
+            while rest[u] >= 0:
+                out = adj[u]
+                i = ptr[u]
+                while not flow[out[i][1]]:
+                    i += 1
+                ptr[u] = i
+                u, a = out[i]
+                if flow[a] < amt:
+                    amt = flow[a]
+                arcs.append(a)
+            if -rest[u] < amt:
+                amt = -rest[u]
+            for a in arcs:
+                flow[a] -= amt
+            rest[s] -= amt
+            rest[u] += amt
+            shipped[s, u] = shipped.get((s, u), 0) + amt
+    return [(s, t, amt) for (s, t), amt in shipped.items()]

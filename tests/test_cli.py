@@ -78,6 +78,18 @@ def test_dist_mismatched_grids(tmp_path, grid_files, capsys):
     assert main(["dist", fp, str(other)]) == 3
 
 
+@pytest.mark.parametrize("metric", ["mwd", "qmwd", "wdvec", "all"])
+def test_dist_transposed_shapes_rejected(tmp_path, metric, capsys):
+    p = tmp_path / "p.txt"
+    q = tmp_path / "q.txt"
+    p.write_text("1 0 0\n0 0 1\n")
+    q.write_text("0 1\n1 0\n0 0\n")
+    assert main(["dist", str(p), str(q), "--metric", metric]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grids are 2x3 vs 3x2\n"
+
+
 def test_dist_mass_mismatch(tmp_path, grid_files, capsys):
     fp, _ = grid_files
     other = tmp_path / "heavy.txt"

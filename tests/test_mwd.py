@@ -6,11 +6,15 @@ import random
 
 import pytest
 
+import gridemd.mwd as mwd_module
 from gridemd import (
     DimensionMismatchError,
     GridHistogram,
     MassMismatchError,
     MassTooLargeError,
+    Move,
+    equalize_mass,
+    gen_random_grid,
     manhattan_cost,
     mwd_exact,
     mwd_oracle_assignment,
@@ -19,6 +23,7 @@ from gridemd import (
     transpose,
     wd_1d,
 )
+from gridemd.grid import check_pair
 from tests._util import plan_marginals, random_grid, random_pair
 
 
@@ -162,3 +167,110 @@ def test_large_grid_corner_to_corner_unit():
     cells2[-1] = 1
     q = GridHistogram(m, m, tuple(cells2))
     assert mwd_exact(p, q).distance == 2 * (m - 1)
+
+
+def _uniform_pair(rng, m, n, cell_max):
+    """Cells uniform on 0..cell_max, totals equalized as the bench sweep does."""
+    p = gen_random_grid(m, n, rng.randrange(1 << 62), cell_max)
+    q = gen_random_grid(m, n, rng.randrange(1 << 62), cell_max)
+    return equalize_mass(p, q, rng.randrange(1 << 62))
+
+
+def _point_mass_pair(rng, m, n, points, units):
+    """Each grid holds ``points`` masses of ``units`` at distinct random cells."""
+    p = [0] * (m * n)
+    q = [0] * (m * n)
+    for i in rng.sample(range(m * n), points):
+        p[i] = units
+    for i in rng.sample(range(m * n), points):
+        q[i] = units
+    return GridHistogram(m, n, tuple(p)), GridHistogram(m, n, tuple(q))
+
+
+def _separable_bound(p, q):
+    """W1(row sums) + W1(column sums), a lower bound on the exact distance."""
+    m, n = p.shape
+
+    def row_sums(g):
+        return tuple(sum(g.cells[i * n : (i + 1) * n]) for i in range(m))
+
+    def col_sums(g):
+        return tuple(sum(g.cells[j::n]) for j in range(n))
+
+    return wd_1d(row_sums(p), row_sums(q)) + wd_1d(col_sums(p), col_sums(q))
+
+
+def _engine_plans(p, q):
+    """Full plans from both engines run directly on the same ``d = p - q``:
+    stay-put moves plus each engine's shipped amounts."""
+    d = check_pair(p, q)
+    cols = p.cols
+    stay = [Move(divmod(i, cols), divmod(i, cols), min(a, b))
+            for i, (a, b) in enumerate(zip(p.cells, q.cells)) if min(a, b)]
+    sup = [(i, v) for i, v in enumerate(d) if v > 0]
+    dem = [(i, -v) for i, v in enumerate(d) if v < 0]
+    shipped = {
+        "grid": mwd_module._solve_grid(d, p.rows, cols),
+        "bipartite": mwd_module._solve_transport(sup, dem, cols),
+    }
+    return {
+        name: stay + [Move(divmod(s, cols), divmod(t, cols), amt) for s, t, amt in moves]
+        for name, moves in shipped.items()
+    }
+
+
+def test_engines_agree_on_random_instances():
+    rng = random.Random(707)
+    cases = [
+        _uniform_pair(rng, rng.randrange(1, 9), rng.randrange(1, 9), rng.choice((1, 3, 9)))
+        for _ in range(240)
+    ]
+    for _ in range(60):
+        m, n = rng.randrange(2, 9), rng.randrange(2, 9)
+        points = rng.randrange(1, min(m * n, 6) + 1)
+        cases.append(_point_mass_pair(rng, m, n, points, rng.choice((1, 7, 100))))
+    for p, q in cases:
+        plans = _engine_plans(p, q)
+        distance = plan_cost(plans["bipartite"])
+        assert distance == mwd_exact(p, q).distance
+        assert distance >= _separable_bound(p, q)
+        for plan in plans.values():
+            assert all(mv.amount > 0 for mv in plan)
+            assert len({(mv.src, mv.dst) for mv in plan}) == len(plan)
+            assert plan_marginals(plan, p.rows, p.cols) == (p.cells, q.cells)
+            assert plan_cost(plan) == distance
+
+
+def _engine_used(monkeypatch, p, q):
+    """Which engine ``mwd_exact`` ran on a pair, and its result."""
+    used = []
+    for name in ("_solve_grid", "_solve_transport"):
+        real = getattr(mwd_module, name)
+        monkeypatch.setattr(
+            mwd_module, name, lambda *args, _real=real, _name=name: used.append(_name) or _real(*args)
+        )
+    res = mwd_exact(p, q)
+    monkeypatch.undo()
+    return used, res
+
+
+def test_size_rule_picks_engine(monkeypatch):
+    rng = random.Random(708)
+    sparse = _point_mass_pair(rng, 128, 128, 32, 100)
+    dense = _uniform_pair(rng, 12, 12, 9)
+    zero = GridHistogram(3, 4, (0,) * 12)
+    # 1x40 alternating units: S * D = 400 > 5 * 40, each unit moves one step.
+    row_p = GridHistogram(1, 40, (1, 0) * 20)
+    row_q = GridHistogram(1, 40, (0, 1) * 20)
+    for (p, q), engine in (
+        (sparse, "_solve_transport"),
+        (dense, "_solve_grid"),
+        ((zero, zero), "_solve_transport"),
+        ((row_p, row_q), "_solve_grid"),
+        ((row_p, row_p), "_solve_transport"),
+    ):
+        used, res = _engine_used(monkeypatch, p, q)
+        assert used == [engine]
+        assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
+        assert plan_cost(res.plan) == res.distance
+    assert mwd_exact(row_p, row_q).distance == 20
