@@ -6,8 +6,8 @@ Three measures over a pair of same-shape grids with equal total mass:
   cost, with an optimal transport plan.
 - ``qmwd``: a fast quasi distance built from three directional 1D
   Wasserstein distances (row-major, rotated, transposed vectorizations).
-- ``wd_1d`` over ``vec_row_major``: the raw 1D distance on flattened
-  grids, the baseline the quasi distance improves on.
+- ``wd_1d(p.cells, q.cells)``: the raw 1D distance over the row-major
+  cells of each grid, the baseline the quasi distance improves on.
 
 Plus a benchmark harness (``run_sweep``/``aggregate``) comparing accuracy
 and runtime of the fast measures against the exact one, with CSV and SVG
@@ -16,7 +16,6 @@ output, exposed on the command line as ``gridemd``.
 
 from .bench import (
     BenchRecord,
-    RECORDS_CSV_HEADER,
     SweepConfig,
     SweepSummary,
     aggregate,
@@ -46,13 +45,11 @@ from .errors import (
 )
 from .grid import (
     GridHistogram,
-    MassVector,
     format_grid,
     parse_grid,
     rotate90,
     total_mass,
     transpose,
-    vec_row_major,
 )
 from .mwd import (
     Move,
@@ -80,13 +77,11 @@ __all__ = [
     "LengthMismatchError",
     "MassMismatchError",
     "MassTooLargeError",
-    "MassVector",
     "Move",
     "MwdResult",
     "NegativeEntryError",
     "PreconditionError",
     "QmwdBreakdown",
-    "RECORDS_CSV_HEADER",
     "RaggedRowsError",
     "ResidueTooLargeError",
     "SweepConfig",
@@ -111,7 +106,6 @@ __all__ = [
     "run_sweep",
     "total_mass",
     "transpose",
-    "vec_row_major",
     "wd_1d",
     "wd_1d_oracle",
 ]

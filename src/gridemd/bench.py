@@ -29,7 +29,7 @@ from .errors import (
     InputFormatError,
     PreconditionError,
 )
-from .grid import GridHistogram, total_mass, vec_row_major
+from .grid import GridHistogram, total_mass
 from .mwd import mwd_exact
 from .qmwd import qmwd
 from .wd1d import wd_1d
@@ -66,12 +66,12 @@ def gen_random_grid(m: int, n: int, seed: int, cell_max: int) -> GridHistogram:
     A pure function of its arguments: the same inputs give the identical
     grid on every platform and run.
     """
-    if m < 1 or n < 1:
-        raise PreconditionError(f"dimensions must be positive, got {m}x{n}")
     if cell_max < 0:
         raise PreconditionError(f"cell_max must be >= 0, got {cell_max}")
     rng = random.Random(seed)
-    cells = tuple(rng.randrange(cell_max + 1) for _ in range(m * n))
+    # Nested ranges draw no cell when either dimension is below 1 (m * n
+    # would be positive for two negative ones); GridHistogram rejects it.
+    cells = tuple(rng.randrange(cell_max + 1) for _ in range(m) for _ in range(n))
     return GridHistogram(m, n, cells)
 
 
@@ -148,7 +148,6 @@ class BenchRecord:
 
 # The records CSV has one column per BenchRecord field, in field order.
 _RECORDS_CSV_FIELDS = [f.name for f in fields(BenchRecord)]
-RECORDS_CSV_HEADER = ",".join(_RECORDS_CSV_FIELDS)
 
 
 def _column_parser(annotation: str) -> Callable[[str], object]:
@@ -168,7 +167,6 @@ class SweepSummary:
 
     m: int
     n: int
-    records: int
     used: int
     excluded: int
     mean_err_wd: float | None
@@ -203,8 +201,7 @@ def _run_trial(cfg: SweepConfig, m: int, trial: int) -> BenchRecord:
         q = gen_random_grid(m, cfg.n_fixed, derive_seed(tseed, 2), cfg.cell_max)
         p, q = equalize_mass(p, q, derive_seed(tseed, 3))
 
-        vp, vq = vec_row_major(p), vec_row_major(q)
-        wd_vec, time_wd = _timed(lambda: wd_1d(vp, vq))
+        wd_vec, time_wd = _timed(lambda: wd_1d(p.cells, q.cells))
         quasi, time_qmwd = _timed(lambda: qmwd(p, q).qmwd)
         if cfg.mwd_mass_cap is not None and total_mass(p) > cfg.mwd_mass_cap:
             fail_reason = "mass_cap"
@@ -259,7 +256,6 @@ def aggregate(records: Sequence[BenchRecord]) -> list[SweepSummary]:
             SweepSummary(
                 m=m,
                 n=group[0].n,
-                records=len(group),
                 used=len(used),
                 excluded=len(group) - len(used),
                 mean_err_wd=statistics.fmean(err_wd) if err_wd else None,

@@ -22,10 +22,6 @@ from .errors import (
     RaggedRowsError,
 )
 
-MassVector = tuple[int, ...]
-"""A 1D sequence of nonnegative integer masses."""
-
-
 @dataclass(frozen=True)
 class GridHistogram:
     """An immutable rows x cols grid of nonnegative integer masses.
@@ -99,11 +95,6 @@ def parse_grid(text: str) -> GridHistogram:
     if not flat:
         raise EmptyGridError("grid text contains no rows")
     return GridHistogram(len(flat) // ncols, ncols, tuple(flat))
-
-
-def vec_row_major(g: GridHistogram) -> MassVector:
-    """Flatten a grid to a 1D mass vector in row-major (reading) order."""
-    return g.cells
 
 
 def rotate90(g: GridHistogram) -> GridHistogram:

@@ -25,7 +25,6 @@ from gridemd import (
     run_sweep,
     total_mass,
     transpose,
-    vec_row_major,
     wd_1d,
     wd_1d_oracle,
 )
@@ -78,15 +77,15 @@ def test_criterion_3_worked_breakdown_values():
     p = GridHistogram.from_rows([[1, 0], [0, 0]])
     q = GridHistogram.from_rows([[0, 0], [0, 1]])
     b = qmwd(p, q)
-    assert b.wd_row == wd_1d_oracle(vec_row_major(p), vec_row_major(q)) == 3
+    assert b.wd_row == wd_1d_oracle(p.cells, q.cells) == 3
     assert (
         b.wd_rot
-        == wd_1d_oracle(vec_row_major(rotate90(p)), vec_row_major(rotate90(q)))
+        == wd_1d_oracle(rotate90(p).cells, rotate90(q).cells)
         == 1
     )
     assert (
         b.wd_transp
-        == wd_1d_oracle(vec_row_major(transpose(p)), vec_row_major(transpose(q)))
+        == wd_1d_oracle(transpose(p).cells, transpose(q).cells)
         == 3
     )
     assert (b.est_row, b.est_rot, b.est_transp) == (2, 1, 2)
@@ -168,8 +167,8 @@ def test_criterion_5_metric_and_invariance_suite():
         n = rng.randrange(1, 7)
         mass = rng.randrange(0, 80)
         p, q = random_pair(rng, m, n, mass)
-        ccw = wd_1d(vec_row_major(rotate90(p)), vec_row_major(rotate90(q)))
-        cw = wd_1d(vec_row_major(rotate_cw(p)), vec_row_major(rotate_cw(q)))
+        ccw = wd_1d(rotate90(p).cells, rotate90(q).cells)
+        cw = wd_1d(rotate_cw(p).cells, rotate_cw(q).cells)
         assert ccw == cw == qmwd(p, q).wd_rot
     print("criterion 5: metric axioms and invariances hold, zero violations")
 

@@ -55,6 +55,9 @@ def test_gen_random_grid_bounds_and_mean():
 def test_gen_random_grid_rejects_bad_dims():
     with pytest.raises(PreconditionError):
         gen_random_grid(0, 3, 1, 9)
+    # Two negative dimensions have a positive product; no cell is drawn.
+    with pytest.raises(PreconditionError):
+        gen_random_grid(-10**9, -10**9, 1, 9)
 
 
 def test_equalize_mass():

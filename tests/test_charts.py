@@ -37,14 +37,14 @@ def test_svg_structure_from_real_sweep():
 def test_svg_handles_missing_aggregates():
     rows = [
         SweepSummary(
-            m=2, n=8, records=3, used=0, excluded=3,
+            m=2, n=8, used=0, excluded=3,
             mean_err_wd=None, median_err_wd=None,
             mean_err_qmwd=None, median_err_qmwd=None,
             mean_time_mwd_ns=None, mean_time_qmwd_ns=12000.0,
             mean_time_wd_ns=900.0,
         ),
         SweepSummary(
-            m=3, n=8, records=3, used=3, excluded=0,
+            m=3, n=8, used=3, excluded=0,
             mean_err_wd=0.5, median_err_wd=0.5,
             mean_err_qmwd=0.25, median_err_qmwd=0.25,
             mean_time_mwd_ns=80000.0, mean_time_qmwd_ns=15000.0,

@@ -20,7 +20,6 @@ from gridemd import (
     rotate90,
     total_mass,
     transpose,
-    vec_row_major,
 )
 from gridemd.grid import check_pair
 from tests._util import random_grid
@@ -100,10 +99,10 @@ def test_parse_grid_bad_tokens():
         parse_grid("1 2 x y")
 
 
-def test_vec_row_major():
-    assert vec_row_major(GridHistogram.from_rows([[1, 2], [3, 4]])) == (1, 2, 3, 4)
-    assert vec_row_major(GridHistogram(1, 1, (7,))) == (7,)
-    assert vec_row_major(GridHistogram(2, 2, (0, 0, 0, 0))) == (0, 0, 0, 0)
+def test_cells_are_row_major():
+    assert GridHistogram.from_rows([[1, 2], [3, 4]]).cells == (1, 2, 3, 4)
+    assert GridHistogram(1, 1, (7,)).cells == (7,)
+    assert GridHistogram(2, 2, (0, 0, 0, 0)).cells == (0, 0, 0, 0)
 
 
 def test_rotate90_worked_example():
@@ -159,7 +158,7 @@ def test_vec_of_transpose_is_column_major():
         m = rng.randrange(1, 6)
         n = rng.randrange(1, 6)
         g = random_grid(rng, m, n, rng.randrange(0, 40))
-        v = vec_row_major(transpose(g))
+        v = transpose(g).cells
         for j in range(n):
             for i in range(m):
                 assert v[j * m + i] == g.cell(i, j)

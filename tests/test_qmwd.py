@@ -21,7 +21,6 @@ from gridemd import (
     qmwd,
     rotate90,
     transpose,
-    vec_row_major,
     wd_1d,
 )
 from tests._util import random_grid, random_pair
@@ -101,11 +100,11 @@ def test_rotation_direction_immunity():
         n = rng.randrange(1, 7)
         p, q = random_pair(rng, m, n, rng.randrange(0, 80))
         b = qmwd(p, q)
-        ccw = wd_1d(vec_row_major(rotate90(p)), vec_row_major(rotate90(q)))
-        cw = wd_1d(vec_row_major(rotate_cw(p)), vec_row_major(rotate_cw(q)))
+        ccw = wd_1d(rotate90(p).cells, rotate90(q).cells)
+        cw = wd_1d(rotate_cw(p).cells, rotate_cw(q).cells)
         assert cw == ccw == b.wd_rot
-        assert b.wd_row == wd_1d(vec_row_major(p), vec_row_major(q))
-        assert b.wd_transp == wd_1d(vec_row_major(transpose(p)), vec_row_major(transpose(q)))
+        assert b.wd_row == wd_1d(p.cells, q.cells)
+        assert b.wd_transp == wd_1d(transpose(p).cells, transpose(q).cells)
 
 
 def test_can_exceed_exact_distance():
