@@ -22,6 +22,7 @@ MARGIN_R = 16
 MARGIN_T = 40
 MARGIN_B = 48
 GAP = 40
+LINEAR_TICKS = 5
 
 ERROR_SERIES = (
     ("series-err-wd", "mean_err_wd", "#d62728", "raw 1D on vec"),
@@ -48,10 +49,9 @@ def _x_positions(ms: Sequence[int], x0: float, width: float) -> dict[int, float]
     return {m: x0 + (m - lo) / span * width for m in ms}
 
 
-def _linear_ticks(top: float, count: int = 5) -> list[float]:
-    if top <= 0:
-        return [0.0, 1.0]
-    step = top / count
+def _linear_ticks(top: float) -> list[float]:
+    """Ticks from 0 past ``top > 0`` at a round step near ``top / LINEAR_TICKS``."""
+    step = top / LINEAR_TICKS
     mag = 10 ** math.floor(math.log10(step))
     for mult in (1, 2, 2.5, 5, 10):
         if mag * mult >= step:

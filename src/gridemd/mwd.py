@@ -1,10 +1,12 @@
 """Exact earth mover's distance between equal-mass grids under Manhattan cost.
 
-Mass common to both grids stays where it is at zero cost. Cancelling it is
-the sign split of ``d = p - q``: surplus cells are where ``d`` is positive,
-deficit cells where it is negative, and only ``d`` enters the solve. The
-common mass ``min(p, q)`` is reported as src == dst moves, so the returned
-plan's marginals always match the full input grids.
+Mass common to both grids stays where it is at zero cost. After
+``check_pair`` builds ``d = p - q``, one pass finds the support, the cells
+where either grid holds mass, and every move is built from it: the common
+mass ``min(p, q)`` as src == dst moves, so the plan's marginals always match
+the full input grids, and the moves the solve ships. Only ``d`` enters the
+solve: surplus cells are where it is positive, deficit cells where it is
+negative. The distance is the plan's cost.
 
 Two exact engines solve for ``d``; ``mwd_exact`` picks one by the input's
 shape alone. With S surplus and D deficit cells among N:
@@ -32,7 +34,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import compress
-from operator import mul
+from operator import or_
 from typing import Iterable
 
 from .errors import MassTooLargeError
@@ -90,35 +92,27 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     ``_solve_transport`` otherwise. Both are exact, so the choice changes
     the time taken and possibly which optimal plan is returned, never the
     distance.
+
+    One pass over the pair finds its support; the engine's input and every
+    move are built from it, and the distance is ``plan_cost`` of the plan.
     """
     d = check_pair(p, q)
-    cols = p.cols
-    nonzero = list(compress(enumerate(d), d))
-    sup = [(i, v) for i, v in nonzero if v > 0]
-    dem = [(i, -v) for i, v in nonzero if v < 0]
-    # Stay-put moves: a product of nonnegative cells is nonzero exactly
-    # where both grids are positive.
-    moves = [
-        Move(c := divmod(i, cols), c, min(a, b))
-        for i, (a, b) in compress(
-            enumerate(zip(p.cells, q.cells)), map(mul, p.cells, q.cells)
-        )
-    ]
+    pc, qc, cols = p.cells, q.cells, p.cols
+    # One (row, col) tuple per cell where either grid holds mass, shared by
+    # that cell's stay-put move and every move it ships along.
+    cell = {i: divmod(i, cols) for i in compress(range(len(d)), map(or_, pc, qc))}
+    sup = [(i, v) for i in cell if (v := d[i]) > 0]
+    dem = [(i, -v) for i in cell if (v := d[i]) < 0]
+    moves = [Move(c, c, k) for i, c in cell.items() if (k := min(pc[i], qc[i]))]
 
     if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(d):
         shipped = _solve_grid(d, p.rows, cols)
     else:
         shipped = _solve_transport(sup, dem, cols)
 
-    # One (row, col) tuple per active cell, shared by every move it is in.
-    cell = {i: divmod(i, cols) for i, _ in nonzero}
-    distance = 0
-    for s, t, amt in shipped:
-        src, dst = cell[s], cell[t]
-        distance += amt * manhattan_cost(src, dst)
-        moves.append(Move(src, dst, amt))
+    moves += [Move(cell[s], cell[t], amt) for s, t, amt in shipped]
     moves.sort(key=lambda mv: (mv.src, mv.dst))
-    return MwdResult(distance, tuple(moves))
+    return MwdResult(plan_cost(moves), tuple(moves))
 
 
 def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:

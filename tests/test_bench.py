@@ -213,6 +213,9 @@ def test_records_csv_round_trip():
     )
     parsed = read_records_csv(io.StringIO(text))
     assert parsed == records
+    # A blank line between rows is skipped.
+    head, first, rest = text.split("\n", 2)
+    assert read_records_csv(io.StringIO(f"{head}\n{first}\n\n{rest}")) == records
 
 
 def test_read_records_csv_rejects_bad_input():

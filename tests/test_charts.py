@@ -55,6 +55,24 @@ def test_svg_handles_missing_aggregates():
     assert len(list(root.iter(f"{SVG_NS}polyline"))) == 5
 
 
+def test_svg_handles_equal_times():
+    # Every time mean equal: the log axis spans one decade above it.
+    rows = [
+        SweepSummary(
+            m=m, n=4, used=2, excluded=0,
+            mean_err_wd=0.5, median_err_wd=0.5,
+            mean_err_qmwd=0.25, median_err_qmwd=0.25,
+            mean_time_mwd_ns=5000.0, mean_time_qmwd_ns=5000.0,
+            mean_time_wd_ns=5000.0,
+        )
+        for m in (2, 3)
+    ]
+    root = _render(rows)
+    assert len(list(root.iter(f"{SVG_NS}polyline"))) == 5
+    labels = [t.text for t in root.iter(f"{SVG_NS}text")]
+    assert [lbl for lbl in labels if lbl.endswith(("ns", "us", "ms"))] == ["1 us", "10 us", "100 us"]
+
+
 def test_svg_single_summary():
     rows = aggregate(run_sweep(SweepConfig(n_fixed=2, m_min=2, m_max=2, trials_per_m=3)))
     root = _render(rows)

@@ -101,6 +101,14 @@ def test_plan_contract_on_random_instances():
         assert all(mv.amount > 0 for mv in res.plan)
         assert plan_marginals(res.plan, m, n) == (p.cells, q.cells)
         assert plan_cost(res.plan) == res.distance
+        assert len({(mv.src, mv.dst) for mv in res.plan}) == len(res.plan)
+        # Common mass stays put, also where d = p - q is 0, and nowhere else.
+        stay = {mv.src: mv.amount for mv in res.plan if mv.src == mv.dst}
+        assert stay == {
+            divmod(i, n): min(a, b)
+            for i, (a, b) in enumerate(zip(p.cells, q.cells))
+            if a > 0 and b > 0
+        }
 
 
 def test_symmetry_identity_triangle():

@@ -20,6 +20,9 @@ The dump holds, per entry of the corpus:
 - the type and message of every error on a list of bad inputs;
 - ``gridemd dist``, ``bench`` and ``plot`` stdout, stderr and exit code, with
   bench's time columns dropped;
+- the ``emit_svg`` text of a few fixed ``SweepSummary`` sets (real errors
+  and fixed times, missing aggregates, all times equal, every aggregate
+  ``None``), since a timed sweep's chart changes from run to run;
 - every column of ``run_sweep`` records except the times, and every
   ``aggregate`` field except the time means.
 
@@ -264,6 +267,34 @@ def _cli(tmp: str) -> Iterator[tuple[str, Any]]:
         yield f"cli/usage/{i}", run(*argv)
 
 
+def _charts() -> Iterator[tuple[str, Any]]:
+    def summary(m: int, used: int, errs: tuple[Any, Any], times: tuple[Any, Any, Any]) -> Any:
+        """Four trials at n = 6; each error series' mean and median are equal."""
+        wd, q = errs
+        return gridemd.SweepSummary(m, 6, used, 4 - used, wd, wd, q, q, *times)
+
+    def svg(summaries: list[Any]) -> str:
+        buf = io.StringIO()
+        gridemd.emit_svg(summaries, buf)
+        return buf.getvalue()
+
+    sets = {
+        "real": [
+            summary(m, 4, (0.2 * m, 0.05 * m), (4e4 * m * m, 9e3 * m, 1.5e3 * m))
+            for m in (5, 2, 3, 4)
+        ],
+        "missing": [
+            summary(2, 0, (None, None), (None, 12000.0, 900.0)),
+            summary(3, 4, (0.5, 0.25), (80000.0, 15000.0, 1100.0)),
+        ],
+        "equal_times": [summary(m, 4, (0.5, 0.25), (5000.0,) * 3) for m in (2, 3)],
+        "all_none": [summary(m, 0, (None, None), (None,) * 3) for m in (2, 3, 4)],
+        "empty": [],
+    }
+    for name, summaries in sets.items():
+        yield f"svg/{name}", _outcome(svg, summaries)
+
+
 def _untimed_records(records: Any) -> list[list[Any]]:
     return [
         [getattr(r, f.name) for f in dataclasses.fields(r) if not f.name.startswith("time_")]
@@ -305,7 +336,7 @@ def collect(
     with tempfile.TemporaryDirectory() as tmp:
         sections = (
             _pairs(pairs), _dense(dense), _sparse(sparse), _normalized(pairs // 6),
-            _errors(), _cli(tmp), _sweeps(sweep_trials),
+            _errors(), _cli(tmp), _charts(), _sweeps(sweep_trials),
         )
         for section in sections:
             for key, value in section:
