@@ -16,6 +16,7 @@ how many trials run. Only the time columns vary between runs.
 from __future__ import annotations
 
 import csv
+import math
 import random
 import statistics
 import time
@@ -150,11 +151,19 @@ class BenchRecord:
 _RECORDS_CSV_FIELDS = [f.name for f in fields(BenchRecord)]
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text!r}")
+    return value
+
+
 def _column_parser(annotation: str) -> Callable[[str], object]:
-    """Cell parser for a BenchRecord field annotated ``int``, ``float``,
-    ``bool`` (written 0/1) or ``str``; ``X | None`` reads "" as None."""
+    """Cell parser for a BenchRecord field annotated ``int``, ``float``
+    (finite only), ``bool`` (written 0/1) or ``str``; ``X | None`` reads ""
+    as None."""
     kind, optional, _ = annotation.partition(" | None")
-    parse = {"int": int, "float": float, "bool": lambda t: bool(int(t)), "str": str}[kind]
+    parse = {"int": int, "float": _finite_float, "bool": lambda t: bool(int(t)), "str": str}[kind]
     return (lambda t: None if t == "" else parse(t)) if optional else parse
 
 
@@ -293,7 +302,8 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
     """Parse a records CSV produced by emit_records_csv.
 
     The header line must match the documented one exactly; rows with the
-    wrong field count or unparsable values are an InputFormatError.
+    wrong field count or unparsable or non-finite values are an
+    InputFormatError.
     """
     reader = csv.reader(src)
     try:

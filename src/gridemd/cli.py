@@ -1,7 +1,8 @@
 """Command-line interface: distances on grid files, benchmark sweeps, charts.
 
-Exit codes: 0 success, 2 malformed input or usage, 3 violated numerical
-precondition (dimension or mass mismatch and similar), 4 I/O failure.
+Exit codes: 0 success, 2 malformed input (text that is not UTF-8
+included) or usage, 3 violated numerical precondition (dimension or mass
+mismatch and similar), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -191,7 +192,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (InputFormatError, EmptyInputError) as exc:
+    except (InputFormatError, EmptyInputError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

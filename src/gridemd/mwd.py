@@ -110,7 +110,7 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     else:
         shipped = _solve_transport(sup, dem, cols)
 
-    moves += [Move(cell[s], cell[t], amt) for s, t, amt in shipped]
+    moves += [Move(cell[s], cell[t], amt) for (s, t), amt in shipped.items()]
     moves.sort(key=lambda mv: (mv.src, mv.dst))
     return MwdResult(plan_cost(moves), tuple(moves))
 
@@ -140,8 +140,6 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
     dp[0] = 0
     for mask in range(full):
         cur = dp[mask]
-        if cur is inf:
-            continue
         row = cost[mask.bit_count()]  # units assigned in fixed source order
         for j in range(n):
             bit = 1 << j
@@ -155,15 +153,15 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
 
 def _solve_transport(
     sup: list[tuple[int, int]], dem: list[tuple[int, int]], cols: int
-) -> list[tuple[int, int, int]]:
+) -> dict[tuple[int, int], int]:
     """Min-cost balanced transportation via successive shortest paths: the
     sparse engine of ``mwd_exact``.
 
     ``sup`` and ``dem`` list the surplus and deficit cells as (flat index,
     amount) in row-major order; every surplus-deficit arc exists with
     unlimited capacity and costs the Manhattan distance of its ends. Returns
-    the shipped amounts as ``(source, sink, amount)`` with flat cell indices,
-    at most one entry per pair.
+    the shipped amounts as ``{(source, sink): amount}`` with flat cell
+    indices.
 
     Node ``s < ns`` is source s and node ``ns + k`` is sink k. Each round
     runs Dijkstra over the residual graph (forward arcs source -> sink at
@@ -183,17 +181,15 @@ def _solve_transport(
     rem = [a for _, a in sup + dem]
     pot = [0] * len(rem)
     flow_by_d: list[dict[int, int]] = [{} for _ in dem]
-    remaining = sum(rem[ns:])
     inf = float("inf")
 
-    while remaining > 0:
+    # Supply and demand totals stay equal, so sources with supply left run
+    # out exactly when every sink's demand is met.
+    while heap := [(0, s) for s in range(ns) if rem[s] > 0]:  # ascending, hence a heap
         dist: list[int | float] = [inf] * len(rem)
         par = [-1] * len(rem)  # predecessor node on the shortest path (-1: root)
-        heap: list[tuple[int | float, int]] = []
-        for s in range(ns):
-            if rem[s] > 0:
-                dist[s] = 0
-                heap.append((0, s))  # ascending, hence already a heap
+        for _, s in heap:
+            dist[s] = 0
         while heap:
             du, u = heapq.heappop(heap)
             if du > dist[u]:
@@ -241,13 +237,12 @@ def _solve_transport(
                 del flow_by_d[k][s]
         rem[root] -= delta
         rem[target] -= delta
-        remaining -= delta
 
-    return [
-        (sup[s][0], dem[k][0], amt)
+    return {
+        (sup[s][0], dem[k][0]): amt
         for k, flows in enumerate(flow_by_d)
         for s, amt in flows.items()
-    ]
+    }
 
 
 def _grid_arcs(rows: int, cols: int) -> list[list[tuple[int, int, int]]]:
@@ -268,7 +263,7 @@ def _grid_arcs(rows: int, cols: int) -> list[list[tuple[int, int, int]]]:
     return adj
 
 
-def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> list[tuple[int, int, int]]:
+def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int], int]:
     """Min-cost flow of ``d = p - q`` on the grid graph, by primal-dual
     rounds: the dense engine of ``mwd_exact``.
 
@@ -283,25 +278,22 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> list[tuple[int, int
     to each potential, which keeps every reduced cost nonnegative; then
     depth-first search with current-arc pointers augments along
     zero-reduced-cost steps, never revisiting a node on its path, until no
-    such path is found.
+    such path is found. A path is the list of ``adj`` entries of its steps.
 
     Every step costs at least 1, so an optimal flow has no cycle and splits
     into source-to-sink paths; a path is never longer than the Manhattan
     distance of its ends, or rerouting it would be cheaper. Returns the
-    split as ``(source, sink, amount)`` with flat cell indices, at most one
-    entry per pair.
+    split as ``{(source, sink): amount}`` with flat cell indices.
     """
     n = len(d)
     adj = _grid_arcs(rows, cols)
     flow = [0] * (2 * n - rows - cols)
     exc = list(d)
     pot = [0] * n
-    left = sum(v for v in d if v > 0)
     inf = float("inf")
 
-    while left:
+    while heap := [(0, u) for u, v in enumerate(exc) if v > 0]:  # sorted, hence a heap
         dist: list[int | float] = [inf] * n
-        heap = [(0, u) for u, v in enumerate(exc) if v > 0]  # sorted, hence a heap
         for _, u in heap:
             dist[u] = 0
         while heap:
@@ -324,7 +316,7 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> list[tuple[int, int
         on_path = [False] * n
         for s in range(n):
             while exc[s] > 0:
-                path, steps = [s], []
+                path: list[tuple[int, int, int]] = []
                 on_path[s] = True
                 u = s
                 while exc[u] >= 0:
@@ -334,40 +326,37 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> list[tuple[int, int
                         if pot[w] == pu + (-1 if flow[e] * sign < 0 else 1) and not on_path[w]:
                             ptr[u] = i
                             on_path[w] = True
-                            path.append(w)
-                            steps.append((e, sign))
+                            path.append(out[i])
                             u = w
                             break
                     else:
                         ptr[u] = len(out)
                         on_path[u] = False
-                        path.pop()
                         if not path:
                             break
-                        steps.pop()
-                        u = path[-1]
+                        path.pop()
+                        u = path[-1][0] if path else s
                         ptr[u] += 1
                 if not path:
                     break
                 delta = min(exc[s], -exc[u])
-                for e, sign in steps:
+                for _, e, sign in path:
                     back = -sign * flow[e]
                     if 0 < back < delta:
                         delta = back
-                for e, sign in steps:
+                on_path[s] = False
+                for w, e, sign in path:
                     flow[e] += sign * delta
-                for w in path:
                     on_path[w] = False
                 exc[s] -= delta
                 exc[u] += delta
-                left -= delta
 
     shipped: dict[tuple[int, int], int] = {}
     rest = list(d)
     ptr = [0] * n
     for s in range(n):
         while rest[s] > 0:
-            u, amt, steps = s, rest[s], []
+            u, amt, path = s, rest[s], []
             while rest[u] >= 0:
                 out = adj[u]
                 i = ptr[u]
@@ -377,12 +366,12 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> list[tuple[int, int
                 u, e, sign = out[i]
                 if sign * flow[e] < amt:
                     amt = sign * flow[e]
-                steps.append((e, sign))
+                path.append(out[i])
             if -rest[u] < amt:
                 amt = -rest[u]
-            for e, sign in steps:
+            for _, e, sign in path:
                 flow[e] -= sign * amt
             rest[s] -= amt
             rest[u] += amt
             shipped[s, u] = shipped.get((s, u), 0) + amt
-    return [(s, t, amt) for (s, t), amt in shipped.items()]
+    return shipped

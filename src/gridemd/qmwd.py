@@ -24,6 +24,7 @@ the scaled pair is exactly equal-mass.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -32,6 +33,7 @@ from .errors import (
     DimensionMismatchError,
     EmptyGridError,
     NegativeEntryError,
+    PreconditionError,
     ResidueTooLargeError,
 )
 from .grid import GridHistogram, check_pair
@@ -103,11 +105,13 @@ def normalize_pair(
     """Convert a pair of real-valued grids to integer grids of equal mass.
 
     Every cell is multiplied by 10**digits and rounded to the nearest
-    integer (ties to even). Rounding can leave the two totals slightly
-    apart; the difference is added to the largest cell of the lighter grid
-    (first in row-major order on ties). A difference above 1% of the larger
-    total raises ResidueTooLargeError instead of silently distorting the
-    data. Returns both integer grids plus the scale factor used.
+    integer (ties to even); a cell that is NaN, infinite or too large to
+    scale to a finite float raises PreconditionError. Rounding can leave
+    the two totals slightly apart; the difference is added to the largest
+    cell of the lighter grid (first in row-major order on ties). A
+    difference above 1% of the larger total raises ResidueTooLargeError
+    instead of silently distorting the data. Returns both integer grids
+    plus the scale factor used.
     """
     if digits < 0:
         raise ValueError(f"digits must be >= 0, got {digits}")
@@ -119,12 +123,21 @@ def normalize_pair(
         if not any(v > 0 for row in rows for v in row):
             raise AllZeroError(f"{label} grid has no positive entry")
         out = []
-        for row in rows:
+        for i, row in enumerate(rows):
             cells = []
-            for v in row:
+            for j, v in enumerate(row):
                 if v < 0:
                     raise NegativeEntryError(f"{label} grid has a negative cell {v!r}")
-                cells.append(round(float(v) * scale))
+                try:
+                    x = float(v) * scale
+                except OverflowError:  # an int or a scale beyond the float range
+                    x = math.inf
+                if not math.isfinite(x):
+                    raise PreconditionError(
+                        f"{label} grid cell ({i}, {j}) is NaN, infinite or too large"
+                        f" to scale by 10**{digits}"
+                    )
+                cells.append(round(x))
             out.append(cells)
         return out
 

@@ -66,9 +66,11 @@ def test_dist_missing_file(grid_files, capsys):
 def test_dist_malformed_grid(tmp_path, grid_files, capsys):
     fp, _ = grid_files
     bad = tmp_path / "bad.txt"
-    bad.write_text("1 zebra\n")
-    assert main(["dist", fp, str(bad)]) == 2
-    assert "error:" in capsys.readouterr().err
+    for content in (b"1 zebra\n", b"\xff\xfe1 2\n"):  # a bad token; not UTF-8
+        bad.write_bytes(content)
+        assert main(["dist", fp, str(bad)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
 
 
 def test_dist_mismatched_grids(tmp_path, grid_files, capsys):
@@ -166,9 +168,21 @@ def test_plot_missing_input(tmp_path, capsys):
 
 def test_plot_bad_csv(tmp_path, capsys):
     src = tmp_path / "bad.csv"
-    src.write_text("wrong,header\n")
-    assert main(["plot", "--in", str(src), "--out", str(tmp_path / "x.svg")]) == 2
-    capsys.readouterr()
+    header = (
+        b"m,n,trial,seed,mwd,wd_vec,qmwd,err_wd,err_qmwd,"
+        b"time_mwd_ns,time_qmwd_ns,time_wd_ns,excluded,fail_reason\n"
+    )
+    for content in (
+        b"wrong,header\n",
+        b"\xff\xfe1 2\n",  # not UTF-8
+        header + b"2,8,0,1,10,12,11,nan,0.1,1,1,1,0,\n",
+        header + b"2,8,0,1,10,12,11,0.2,inf,1,1,1,0,\n",
+    ):
+        src.write_bytes(content)
+        assert main(["plot", "--in", str(src), "--out", str(tmp_path / "x.svg")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+    assert not (tmp_path / "x.svg").exists()
 
 
 def test_plot_empty_records(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -24,6 +25,7 @@ from gridemd import (
     wd_1d,
 )
 from gridemd.grid import check_pair
+from tests._reference import plan_is_optimal
 from tests._util import plan_marginals, random_grid, random_pair
 
 
@@ -222,7 +224,7 @@ def _engine_plans(p, q):
         "bipartite": mwd_module._solve_transport(sup, dem, cols),
     }
     return {
-        name: stay + [Move(divmod(s, cols), divmod(t, cols), amt) for s, t, amt in moves]
+        name: stay + [Move(divmod(s, cols), divmod(t, cols), amt) for (s, t), amt in moves.items()]
         for name, moves in shipped.items()
     }
 
@@ -282,3 +284,58 @@ def test_size_rule_picks_engine(monkeypatch):
         assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
         assert plan_cost(res.plan) == res.distance
     assert mwd_exact(row_p, row_q).distance == 20
+
+
+def _certificate_cases():
+    """Seeded pairs for the optimality certificate: 300 up to 8x8 (cells
+    0/1/3/9), 20 dense 12x12 pairs above the oracle's mass limit (grid
+    engine) and 4 128x128 point-mass pairs (bipartite engine)."""
+    rng = random.Random(1414)
+    small = [
+        _uniform_pair(rng, rng.randrange(1, 9), rng.randrange(1, 9), rng.choice((0, 1, 3, 9)))
+        for _ in range(300)
+    ]
+    dense = [_uniform_pair(rng, 12, 12, 9) for _ in range(20)]
+    sparse = [_point_mass_pair(rng, 128, 128, 8, 100) for _ in range(4)]
+    return small, dense, sparse
+
+
+def _costlier_swap(plan):
+    """``plan`` with two shipped moves trading ``k`` units of their
+    destinations, the first such trade that costs more; None if none does.
+    The marginals stay the same."""
+    shipped = [mv for mv in plan if mv.src != mv.dst]
+    for a, b in itertools.combinations(shipped, 2):
+        k = min(a.amount, b.amount)
+        traded = [Move(a.src, b.dst, k), Move(b.src, a.dst, k)]
+        if plan_cost(traded) > plan_cost([Move(a.src, a.dst, k), Move(b.src, b.dst, k)]):
+            kept = [mv for mv in plan if mv is not a and mv is not b]
+            rest = [Move(mv.src, mv.dst, mv.amount - k) for mv in (a, b) if mv.amount > k]
+            return kept + rest + traded
+    return None
+
+
+def test_plans_pass_optimality_certificate():
+    small, dense, sparse = _certificate_cases()
+    for p, q in small + dense + sparse:
+        res = mwd_exact(p, q)
+        assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
+        assert plan_cost(res.plan) == res.distance
+        assert plan_is_optimal(p, q, res.plan)
+
+
+def test_certificate_rejects_costlier_plans():
+    # The dense pairs are left out: a graph with a negative cycle runs every
+    # Bellman-Ford round, about 0.2 s on a 12x12 pair.
+    small, _, sparse = _certificate_cases()
+    swaps = 0
+    for p, q in small + sparse:
+        res = mwd_exact(p, q)
+        worse = _costlier_swap(res.plan)
+        if worse is None:
+            continue
+        swaps += 1
+        assert plan_marginals(worse, p.rows, p.cols) == (p.cells, q.cells)
+        assert plan_cost(worse) > res.distance
+        assert not plan_is_optimal(p, q, worse)
+    assert swaps >= 150

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 
 import pytest
 
@@ -14,6 +15,7 @@ from gridemd import (
     GridHistogram,
     MassMismatchError,
     NegativeEntryError,
+    PreconditionError,
     ResidueTooLargeError,
     directional_estimate,
     mwd_exact,
@@ -187,3 +189,13 @@ def test_normalize_pair_errors():
         normalize_pair([], [[1.0]], digits=0)
     with pytest.raises(DimensionMismatchError):
         normalize_pair([[1.0, 1.0]], [[2.0]], digits=0)
+    # Cells that do not scale to a finite float: NaN, infinite, overflowing
+    # once scaled, or an int beyond the float range.
+    for p, q, digits, where in (
+        ([[1.0, float("nan")]], [[1.0, 1.0]], 0, "first grid cell (0, 1)"),
+        ([[1.0]], [[float("inf")]], 0, "second grid cell (0, 0)"),
+        ([[1.0], [1e308]], [[1.0], [1.0]], 2, "first grid cell (1, 0)"),
+        ([[10**400]], [[1.0]], 0, "first grid cell (0, 0)"),
+    ):
+        with pytest.raises(PreconditionError, match=rf"^{re.escape(where)} "):
+            normalize_pair(p, q, digits=digits)

@@ -19,12 +19,17 @@ The dump holds, per entry of the corpus:
 - ``normalize_pair`` results on real-valued grids;
 - the type and message of every error on a list of bad inputs;
 - ``gridemd dist``, ``bench`` and ``plot`` stdout, stderr and exit code, with
-  bench's time columns dropped;
+  bench's time columns dropped, on good and bad files (text that is not
+  UTF-8, records with non-finite errors among them);
 - the ``emit_svg`` text of a few fixed ``SweepSummary`` sets (real errors
   and fixed times, missing aggregates, all times equal, every aggregate
   ``None``), since a timed sweep's chart changes from run to run;
 - every column of ``run_sweep`` records except the times, and every
   ``aggregate`` field except the time means.
+
+Any exception a call raises, typed or not, is recorded as
+``["!" + type, message]`` in place of its result, so a dump runs to the end
+on code that crashes on some input.
 
 Plans are not part of the library's contract: when several plans are optimal
 a change may pick another one, so a diff confined to ``plan`` entries means
@@ -58,14 +63,14 @@ SHOWN_DIFFS = 20
 
 
 def _plain(value: Any) -> Any:
-    """``value`` with grids, exact results and breakdowns spelled as lists."""
+    """``value`` with grids, exact results and other records spelled as lists."""
     if isinstance(value, gridemd.GridHistogram):
         return [value.rows, value.cols, value.cells]
     if isinstance(value, gridemd.MwdResult):
         return [value.distance, [[*mv.src, *mv.dst, mv.amount] for mv in value.plan]]
-    if isinstance(value, gridemd.QmwdBreakdown):
+    if dataclasses.is_dataclass(value):  # QmwdBreakdown, BenchRecord
         return dataclasses.astuple(value)
-    if isinstance(value, tuple):
+    if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     return value
 
@@ -74,7 +79,7 @@ def _outcome(fn: Callable[..., Any], *args: Any) -> Any:
     """``fn``'s plain result, or ``["!" + error type, message]`` if it raises."""
     try:
         return _plain(fn(*args))
-    except (gridemd.GridEmdError, ValueError) as exc:
+    except Exception as exc:
         return ["!" + type(exc).__name__, str(exc)]
 
 
@@ -180,6 +185,12 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.normalize_pair, ([[1.0]], [[1.0, 0.0]])),
         (gridemd.normalize_pair, ([[1.0]], [[1.2]])),
         (gridemd.normalize_pair, ([[0.2]], [[0.3]])),
+        (gridemd.normalize_pair, ([[1.0, float("nan")]], [[1.0, 1.0]])),
+        (gridemd.normalize_pair, ([[1.0]], [[float("inf")]])),
+        (gridemd.normalize_pair, ([[1e308]], [[1.0]], 2)),
+        (gridemd.normalize_pair, ([[10**400]], [[1.0]])),
+        (gridemd.read_records_csv, (io.StringIO(_records_text("nan", "0.1")),)),
+        (gridemd.read_records_csv, (io.StringIO(_records_text("0.2", "inf")),)),
     ]
     for i, (fn, args) in enumerate(cases):
         yield f"error/{i}", _outcome(fn, *args)
@@ -194,6 +205,8 @@ def _cli(tmp: str) -> Iterator[tuple[str, Any]]:
         try:
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = gridemd.cli.main(list(argv))
+        except Exception as exc:
+            code = ["!" + type(exc).__name__, str(exc)]
         finally:
             if columns is None:
                 del os.environ["COLUMNS"]
@@ -201,10 +214,10 @@ def _cli(tmp: str) -> Iterator[tuple[str, Any]]:
                 os.environ["COLUMNS"] = columns
         return [code, out.getvalue().replace(tmp, "<tmp>"), err.getvalue().replace(tmp, "<tmp>")]
 
-    def path(name: str, text: str) -> str:
+    def path(name: str, text: str | bytes) -> str:
         full = os.path.join(tmp, name)
-        with open(full, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(full, "wb") as fh:
+            fh.write(text if isinstance(text, bytes) else text.encode("utf-8"))
         return full
 
     rng = random.Random(96)
@@ -222,6 +235,7 @@ def _cli(tmp: str) -> Iterator[tuple[str, Any]]:
         "tall": path("tall", "1\n0\n0\n"),
         "wide": path("wide", "1 0 0\n"),
         "heavy": path("heavy", "9 9\n9 9\n"),
+        "undecodable": path("undecodable", b"\xff\xfe1 2\n"),
     }
     bad["missing"] = os.path.join(tmp, "missing")
 
@@ -251,6 +265,14 @@ def _cli(tmp: str) -> Iterator[tuple[str, Any]]:
     yield "cli/plot", run("plot", "--in", csv_path, "--out", os.path.join(tmp, "chart.svg"))
     yield "cli/plot/bad", run("plot", "--in", paths["p0"], "--out", os.path.join(tmp, "x.svg"))
     yield "cli/plot/missing", run("plot", "--in", bad["missing"], "--out", os.path.join(tmp, "x.svg"))
+    yield "cli/plot/undecodable", run(
+        "plot", "--in", bad["undecodable"], "--out", os.path.join(tmp, "x.svg")
+    )
+    for name, errs in (("nan", ("nan", "0.1")), ("inf", ("0.2", "inf"))):
+        yield f"cli/plot/{name}", run(
+            "plot", "--in", path(name + ".csv", _records_text(*errs)),
+            "--out", os.path.join(tmp, name + ".svg"),
+        )
     for i, argv in enumerate(
         (
             ("--help",),
@@ -293,6 +315,12 @@ def _charts() -> Iterator[tuple[str, Any]]:
     }
     for name, summaries in sets.items():
         yield f"svg/{name}", _outcome(svg, summaries)
+
+
+def _records_text(err_wd: str, err_qmwd: str) -> str:
+    """A one-record CSV with the given error columns."""
+    header = ",".join(f.name for f in dataclasses.fields(gridemd.BenchRecord))
+    return f"{header}\n2,8,0,1,10,12,11,{err_wd},{err_qmwd},1,1,1,0,\n"
 
 
 def _untimed_records(records: Any) -> list[list[Any]]:
@@ -360,9 +388,10 @@ def read_dump(src: str) -> dict[str, Any]:
 
 def differences(a: dict[str, Any], b: dict[str, Any]) -> list[tuple[str, Any, Any]]:
     """``(key, value in a, value in b)`` for every key whose values differ;
-    a key missing from one side shows as ``None`` there."""
+    a key missing from one side shows as ``None`` there. Values compare as
+    JSON text, so a NaN equals itself."""
     keys = list(a) + [k for k in b if k not in a]
-    return [(k, a.get(k), b.get(k)) for k in keys if a.get(k) != b.get(k)]
+    return [(k, a.get(k), b.get(k)) for k in keys if json.dumps(a.get(k)) != json.dumps(b.get(k))]
 
 
 def _kind(key: str) -> str:
