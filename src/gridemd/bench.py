@@ -190,15 +190,12 @@ class SweepSummary:
 def _timed(fn: Callable[[], int]) -> tuple[int, int]:
     """Value plus wall time in ns: minimum over repeated calls to damp
     scheduler noise."""
-    best = None
-    value = 0
+    times: list[int] = []
     for _ in range(TIMING_REPETITIONS):
         t0 = time.perf_counter_ns()
         value = fn()
-        dt = time.perf_counter_ns() - t0
-        if best is None or dt < best:
-            best = dt
-    return value, int(best if best is not None else 0)
+        times.append(time.perf_counter_ns() - t0)
+    return value, min(times)
 
 
 def _run_trial(cfg: SweepConfig, m: int, trial: int) -> BenchRecord:

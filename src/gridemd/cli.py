@@ -1,8 +1,8 @@
 """Command-line interface: distances on grid files, benchmark sweeps, charts.
 
 Exit codes: 0 success, 2 malformed input (text that is not UTF-8
-included) or usage, 3 violated numerical precondition (dimension or mass
-mismatch and similar), 4 I/O failure.
+included; the message names the file) or usage, 3 violated numerical
+precondition (dimension or mass mismatch and similar), 4 I/O failure.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence
+from typing import Callable, Sequence, TextIO, TypeVar
 
 from .bench import SweepConfig, aggregate, emit_records_csv, read_records_csv, run_sweep
 from .charts import emit_svg
@@ -22,6 +22,8 @@ from .wd1d import prefix_work
 
 # Not called here; perfbench/tracing.py rebinds this name on this module.
 from .wd1d import wd_1d  # noqa: F401
+
+T = TypeVar("T")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -99,9 +101,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read(path: str, parse: Callable[[TextIO], T]) -> T:
+    """``parse`` applied to the UTF-8 text file at ``path``; text that is not
+    UTF-8 or that ``parse`` rejects raises InputFormatError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            return parse(fh)
+    except (InputFormatError, UnicodeDecodeError) as exc:
+        raise InputFormatError(f"{path}: {exc}") from exc
+
+
 def _load_grid(path: str) -> GridHistogram:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_grid(fh.read())
+    return _read(path, lambda fh: parse_grid(fh.read()))
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
@@ -174,9 +185,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
-    with open(args.src, "r", encoding="utf-8", newline="") as fh:
-        records = read_records_csv(fh)
-    summaries = aggregate(records)
+    summaries = aggregate(_read(args.src, read_records_csv))
     with open(args.dest, "w", encoding="utf-8") as fh:
         emit_svg(summaries, fh)
     print(f"wrote {args.dest}", file=sys.stderr)
@@ -192,7 +201,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.func(args)
-    except (InputFormatError, EmptyInputError, UnicodeDecodeError) as exc:
+    except (InputFormatError, EmptyInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except PreconditionError as exc:

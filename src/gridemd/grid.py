@@ -1,10 +1,15 @@
-"""Integer grid histograms and the view transforms the distance measures use.
+"""Integer grid histograms: their text form, the pair check the distance
+measures share, and two view transforms.
 
 A grid is an m x n array of nonnegative integer masses stored row-major.
 Grids are immutable and every operation here is a pure function, so values
 can be shared freely between threads. All arithmetic uses Python integers,
 which are unbounded: totals and transport costs cannot overflow no matter
 how large the grid or its cells are.
+
+No distance measure calls ``rotate90`` or ``transpose``: ``qmwd`` reads
+column slices of one difference vector instead. They stay public as
+reference transforms for the orders those slices stand for.
 """
 
 from __future__ import annotations

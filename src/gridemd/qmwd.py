@@ -34,6 +34,7 @@ from .errors import (
     EmptyGridError,
     NegativeEntryError,
     PreconditionError,
+    RaggedRowsError,
     ResidueTooLargeError,
 )
 from .grid import GridHistogram, check_pair
@@ -105,26 +106,30 @@ def normalize_pair(
     """Convert a pair of real-valued grids to integer grids of equal mass.
 
     Every cell is multiplied by 10**digits and rounded to the nearest
-    integer (ties to even); a cell that is NaN, infinite or too large to
-    scale to a finite float raises PreconditionError. Rounding can leave
-    the two totals slightly apart; the difference is added to the largest
-    cell of the lighter grid (first in row-major order on ties). A
-    difference above 1% of the larger total raises ResidueTooLargeError
-    instead of silently distorting the data. Returns both integer grids
-    plus the scale factor used.
+    integer (ties to even). Rounding can leave the two totals slightly
+    apart; the difference is added to the largest cell of the lighter grid
+    (first in row-major order on ties). Returns both integer grids plus the
+    scale factor used. Raises, checking in this order: PreconditionError
+    for digits < 0; per grid, first then second, EmptyGridError, then per
+    row RaggedRowsError and per cell NegativeEntryError or PreconditionError
+    (NaN, infinite or too large once scaled), then AllZeroError if every
+    scaled cell is 0; DimensionMismatchError; ResidueTooLargeError for a
+    residue above 1% of the larger total rather than distorting the data.
     """
     if digits < 0:
-        raise ValueError(f"digits must be >= 0, got {digits}")
+        raise PreconditionError(f"digits must be >= 0, got {digits}")
     scale = 10**digits
 
-    def scaled(rows: list[list[float]], label: str) -> list[list[int]]:
+    def scaled(rows: list[list[float]], label: str) -> tuple[int, int, list[int]]:
         if not rows or not rows[0]:
             raise EmptyGridError(f"{label} grid is empty")
-        if not any(v > 0 for row in rows for v in row):
-            raise AllZeroError(f"{label} grid has no positive entry")
-        out = []
+        cols = len(rows[0])
+        cells: list[int] = []
         for i, row in enumerate(rows):
-            cells = []
+            if len(row) != cols:
+                raise RaggedRowsError(
+                    f"{label} grid row {i} has {len(row)} entries, expected {cols}"
+                )
             for j, v in enumerate(row):
                 if v < 0:
                     raise NegativeEntryError(f"{label} grid has a negative cell {v!r}")
@@ -138,28 +143,23 @@ def normalize_pair(
                         f" to scale by 10**{digits}"
                     )
                 cells.append(round(x))
-            out.append(cells)
-        return out
+        if not any(cells):
+            raise AllZeroError(
+                f"{label} grid scales to zero mass by 10**{digits}; increase digits"
+            )
+        return len(rows), cols, cells
 
-    sp = scaled(p_rows, "first")
-    sq = scaled(q_rows, "second")
-    if len(sp) != len(sq) or len(sp[0]) != len(sq[0]):
-        raise DimensionMismatchError(
-            f"grids are {len(sp)}x{len(sp[0])} vs {len(sq)}x{len(sq[0])}"
-        )
-    tp = sum(v for row in sp for v in row)
-    tq = sum(v for row in sq for v in row)
-    if tp == 0 or tq == 0:
-        raise AllZeroError("a grid scaled to zero total mass; increase digits")
+    mp, np_, cp = scaled(p_rows, "first")
+    mq, nq, cq = scaled(q_rows, "second")
+    if (mp, np_) != (mq, nq):
+        raise DimensionMismatchError(f"grids are {mp}x{np_} vs {mq}x{nq}")
+    tp, tq = sum(cp), sum(cq)
     residue = abs(tp - tq)
     if 100 * residue > max(tp, tq):
         raise ResidueTooLargeError(
             f"rounding residue {residue} exceeds 1% of total mass {max(tp, tq)}"
         )
-    p, q = GridHistogram.from_rows(sp), GridHistogram.from_rows(sq)
     if residue:
-        cells = list((p if tp < tq else q).cells)
-        cells[cells.index(max(cells))] += residue
-        repaired = GridHistogram(p.rows, p.cols, tuple(cells))
-        p, q = (repaired, q) if tp < tq else (p, repaired)
-    return p, q, scale
+        lighter = cp if tp < tq else cq
+        lighter[lighter.index(max(lighter))] += residue
+    return GridHistogram(mp, np_, tuple(cp)), GridHistogram(mq, nq, tuple(cq)), scale

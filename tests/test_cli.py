@@ -70,7 +70,7 @@ def test_dist_malformed_grid(tmp_path, grid_files, capsys):
         bad.write_bytes(content)
         assert main(["dist", fp, str(bad)]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
 
 
 def test_dist_mismatched_grids(tmp_path, grid_files, capsys):
@@ -181,7 +181,7 @@ def test_plot_bad_csv(tmp_path, capsys):
         src.write_bytes(content)
         assert main(["plot", "--in", str(src), "--out", str(tmp_path / "x.svg")]) == 2
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error:")
+        assert len(err) == 1 and err[0].startswith(f"error: {src}: ")
     assert not (tmp_path / "x.svg").exists()
 
 

@@ -16,6 +16,7 @@ from gridemd import (
     MassMismatchError,
     NegativeEntryError,
     PreconditionError,
+    RaggedRowsError,
     ResidueTooLargeError,
     directional_estimate,
     mwd_exact,
@@ -181,14 +182,26 @@ def test_normalize_pair_errors():
         normalize_pair([[1.0, -0.5]], [[0.5, 0.0]], digits=0)
     with pytest.raises(AllZeroError):
         normalize_pair([[0.0, 0.0]], [[1.0, 0.0]], digits=0)
-    with pytest.raises(AllZeroError):
-        normalize_pair([[0.004, 0.004]], [[1.0, 0.0]], digits=0)
     with pytest.raises(ResidueTooLargeError):
         normalize_pair([[102.0]], [[100.0]], digits=0)
     with pytest.raises(EmptyGridError):
         normalize_pair([], [[1.0]], digits=0)
     with pytest.raises(DimensionMismatchError):
         normalize_pair([[1.0, 1.0]], [[2.0]], digits=0)
+    with pytest.raises(PreconditionError, match="^digits must be >= 0"):
+        normalize_pair([[1.0]], [[1.0]], digits=-1)
+    # A fault inside a grid is found before any check on the pair, and its
+    # message names the grid.
+    for p, q, error, where in (
+        ([[float("nan")]], [[1.0]], PreconditionError, "first grid cell (0, 0) "),
+        ([[-1.0]], [[1.0]], NegativeEntryError, "first grid "),
+        ([[0.004, 0.004]], [[1.0, 0.0]], AllZeroError, "first grid "),
+        # Ragged, with totals 8 vs 3 that would also fail the residue check.
+        ([[1.0], [2.0, 5.0]], [[1.0], [2.0]], RaggedRowsError, "first grid row 1 "),
+        ([[1.0], [2.0]], [[1.0], [2.0, 3.0]], RaggedRowsError, "second grid row 1 "),
+    ):
+        with pytest.raises(error, match=f"^{re.escape(where)}"):
+            normalize_pair(p, q, digits=0)
     # Cells that do not scale to a finite float: NaN, infinite, overflowing
     # once scaled, or an int beyond the float range.
     for p, q, digits, where in (

@@ -191,6 +191,10 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.normalize_pair, ([[10**400]], [[1.0]])),
         (gridemd.read_records_csv, (io.StringIO(_records_text("nan", "0.1")),)),
         (gridemd.read_records_csv, (io.StringIO(_records_text("0.2", "inf")),)),
+        (gridemd.normalize_pair, ([[float("nan")]], [[1.0]])),
+        (gridemd.normalize_pair, ([[-1.0]], [[1.0]])),
+        (gridemd.normalize_pair, ([[1.0], [2.0, 5.0]], [[1.0], [2.0]])),
+        (gridemd.normalize_pair, ([[1.0], [2.0]], [[1.0], [2.0, 3.0]])),
     ]
     for i, (fn, args) in enumerate(cases):
         yield f"error/{i}", _outcome(fn, *args)
