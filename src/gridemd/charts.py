@@ -4,13 +4,16 @@ Left panel: mean relative error of the raw vectorized estimate and of the
 quasi distance against the exact distance, per grid height. Right panel:
 mean per-call times of all three computations on a log scale. No plotting
 library is used; the output is self-contained static SVG.
+
+Text is written into the SVG unescaped. That is safe because every text
+node holds only a number, a unit or a fixed label from ``ERROR_SERIES``,
+``TIME_SERIES`` or the titles below; any other text must be escaped.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Callable, Sequence, TextIO
-from xml.sax.saxutils import escape
 
 from .bench import SweepSummary
 from .errors import EmptyInputError
@@ -43,12 +46,6 @@ def _time_label(ns: float) -> str:
     return f"{ns / 1e6:g} ms" if ns >= 1e6 else f"{ns / 1e3:g} us" if ns >= 1e3 else f"{ns:g} ns"
 
 
-def _x_positions(ms: Sequence[int], x0: float, width: float) -> dict[int, float]:
-    lo, hi = min(ms), max(ms)
-    span = (hi - lo) or 1
-    return {m: x0 + (m - lo) / span * width for m in ms}
-
-
 def _linear_ticks(top: float) -> list[float]:
     """Ticks from 0 past ``top > 0`` at a round step near ``top / LINEAR_TICKS``."""
     step = top / LINEAR_TICKS
@@ -67,59 +64,6 @@ def _log_ticks(lo: float, hi: float) -> list[float]:
     return [10.0**e for e in range(lo_e, hi_e + 1)]
 
 
-def _axis_x(parts: list[str], ms: Sequence[int], xs: dict[int, float], y: float) -> None:
-    shown = ms if len(ms) <= 12 else ms[:: max(1, len(ms) // 12)]
-    for m in shown:
-        x = xs[m]
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{y:.1f}" x2="{x:.1f}" y2="{y + 5:.1f}" '
-            'stroke="#444" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{x:.1f}" y="{y + 18:.1f}" font-size="11" '
-            f'text-anchor="middle" fill="#444">{m}</text>'
-        )
-
-
-def _panel_frame(parts: list[str], x0: float, y0: float, title: str) -> None:
-    parts.append(
-        f'<rect x="{x0:.1f}" y="{y0:.1f}" width="{PANEL_W}" height="{PANEL_H}" '
-        'fill="none" stroke="#888" stroke-width="1"/>'
-    )
-    parts.append(
-        f'<text x="{x0 + PANEL_W / 2:.1f}" y="{y0 - 12:.1f}" font-size="14" '
-        f'text-anchor="middle" fill="#222">{escape(title)}</text>'
-    )
-
-
-def _legend(
-    parts: list[str],
-    entries: Sequence[tuple[str, str]],
-    x: float,
-    y: float,
-) -> None:
-    for i, (color, label) in enumerate(entries):
-        ly = y + i * 18
-        parts.append(
-            f'<line x1="{x:.1f}" y1="{ly:.1f}" x2="{x + 22:.1f}" y2="{ly:.1f}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        parts.append(
-            f'<text x="{x + 28:.1f}" y="{ly + 4:.1f}" font-size="12" '
-            f'fill="#222">{escape(label)}</text>'
-        )
-
-
-def _polyline(parts: list[str], sid: str, color: str, pts: list[tuple[float, float]]) -> None:
-    body = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
-    parts.append(
-        f'<polyline id="{sid}" points="{body}" fill="none" '
-        f'stroke="{color}" stroke-width="2"/>'
-    )
-    for x, y in pts:
-        parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="{color}"/>')
-
-
 def _panel(
     parts: list[str],
     rows: Sequence[SweepSummary],
@@ -130,12 +74,18 @@ def _panel(
     y_of: Callable[[float], float],
     tick_label: Callable[[float], str],
 ) -> None:
-    """One panel: frame, y grid with labels, one polyline per series, the
-    m axis, the axis title and the legend. ``y_of`` maps a value to its y."""
+    """One panel, top to bottom in document order: frame and title, y grid
+    with labels, per series a polyline and its markers, the m axis, the axis
+    title and the legend. ``y_of`` maps a value to its y."""
     y0 = float(MARGIN_T)
-    ms = [s.m for s in rows]
-    xs = _x_positions(ms, x0 + 10, PANEL_W - 20)
-    _panel_frame(parts, x0, y0, title)
+    parts.append(
+        f'<rect x="{x0:.1f}" y="{y0:.1f}" width="{PANEL_W}" height="{PANEL_H}" '
+        'fill="none" stroke="#888" stroke-width="1"/>'
+    )
+    parts.append(
+        f'<text x="{x0 + PANEL_W / 2:.1f}" y="{y0 - 12:.1f}" font-size="14" '
+        f'text-anchor="middle" fill="#222">{title}</text>'
+    )
     for tv in ticks:
         y = y_of(tv)
         parts.append(
@@ -144,21 +94,54 @@ def _panel(
         )
         parts.append(
             f'<text x="{x0 - 6:.1f}" y="{y + 4:.1f}" font-size="11" '
-            f'text-anchor="end" fill="#444">{escape(tick_label(tv))}</text>'
+            f'text-anchor="end" fill="#444">{tick_label(tv)}</text>'
         )
+
+    ms = [s.m for s in rows]
+    lo, hi = min(ms), max(ms)
+    span = (hi - lo) or 1
+    xs = {m: x0 + 10 + (m - lo) / span * (PANEL_W - 20) for m in ms}
     for sid, field, color, _ in series:
         pts = [
             (xs[s.m], y_of(getattr(s, field)))
             for s in rows
             if getattr(s, field) is not None
         ]
-        _polyline(parts, sid, color, pts)
-    _axis_x(parts, ms, xs, y0 + PANEL_H)
+        body = " ".join(f"{x:.1f},{y:.1f}" for x, y in pts)
+        parts.append(
+            f'<polyline id="{sid}" points="{body}" fill="none" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        for x, y in pts:
+            parts.append(f'<circle cx="{x:.1f}" cy="{y:.1f}" r="2.5" fill="{color}"/>')
+
+    y_axis = y0 + PANEL_H
+    for m in ms if len(ms) <= 12 else ms[:: len(ms) // 12]:
+        x = xs[m]
+        parts.append(
+            f'<line x1="{x:.1f}" y1="{y_axis:.1f}" x2="{x:.1f}" y2="{y_axis + 5:.1f}" '
+            'stroke="#444" stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{x:.1f}" y="{y_axis + 18:.1f}" font-size="11" '
+            f'text-anchor="middle" fill="#444">{m}</text>'
+        )
     parts.append(
-        f'<text x="{x0 + PANEL_W / 2:.1f}" y="{y0 + PANEL_H + 38:.1f}" '
+        f'<text x="{x0 + PANEL_W / 2:.1f}" y="{y_axis + 38:.1f}" '
         'font-size="12" text-anchor="middle" fill="#222">grid height m</text>'
     )
-    _legend(parts, [(c, lbl) for _, _, c, lbl in series], x0 + 16, y0 + 20)
+
+    lx = x0 + 16
+    for i, (_, _, color, label) in enumerate(series):
+        ly = y0 + 20 + i * 18
+        parts.append(
+            f'<line x1="{lx:.1f}" y1="{ly:.1f}" x2="{lx + 22:.1f}" y2="{ly:.1f}" '
+            f'stroke="{color}" stroke-width="2"/>'
+        )
+        parts.append(
+            f'<text x="{lx + 28:.1f}" y="{ly + 4:.1f}" font-size="12" '
+            f'fill="#222">{label}</text>'
+        )
 
 
 def emit_svg(summaries: Sequence[SweepSummary], dest: TextIO) -> None:

@@ -141,9 +141,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         print(json.dumps(out))
         return 0
 
-    for key in ("m", "n", "mwd", "wd_vec", "qmwd"):
-        if key in out:
-            print(f"{key} {out[key]}")
+    for key, value in out.items():
+        print(f"{key} {value}")
     if args.plan:
         print(f"plan {len(plan_rows)}")
         for row in plan_rows:
@@ -192,10 +191,13 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+# Built once, at import: parse_args keeps no state between calls.
+_PARSER = _build_parser()
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

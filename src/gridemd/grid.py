@@ -32,7 +32,9 @@ class GridHistogram:
     """An immutable rows x cols grid of nonnegative integer masses.
 
     ``cells`` holds the masses in row-major order; cell (i, j) lives at
-    flat index ``i * cols + j``.
+    flat index ``i * cols + j``. Each cell is exactly an ``int``: a
+    ``bool`` would be written by ``format_grid`` as text that
+    ``parse_grid`` rejects.
     """
 
     rows: int
@@ -48,7 +50,7 @@ class GridHistogram:
                 f"{self.rows}x{self.cols} grid, got {len(self.cells)}"
             )
         for v in self.cells:
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:
                 raise PreconditionError(f"cells must be nonnegative integers, got {v!r}")
 
     @classmethod

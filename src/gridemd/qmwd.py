@@ -110,12 +110,16 @@ def normalize_pair(
     apart; the difference is added to the largest cell of the lighter grid
     (first in row-major order on ties). Returns both integer grids plus the
     scale factor used. Raises, checking in this order: PreconditionError
-    for digits < 0; per grid, first then second, EmptyGridError, then per
-    row RaggedRowsError and per cell NegativeEntryError or PreconditionError
-    (NaN, infinite or too large once scaled), then AllZeroError if every
-    scaled cell is 0; DimensionMismatchError; ResidueTooLargeError for a
-    residue above 1% of the larger total rather than distorting the data.
+    for digits that is not an int, then for digits < 0; per grid, first
+    then second, EmptyGridError, then per row RaggedRowsError and per cell
+    PreconditionError (not a number), NegativeEntryError or
+    PreconditionError (NaN, infinite or too large once scaled), then
+    AllZeroError if every scaled cell is 0; DimensionMismatchError;
+    ResidueTooLargeError for a residue above 1% of the larger total rather
+    than distorting the data.
     """
+    if type(digits) is not int:
+        raise PreconditionError(f"digits must be an int, got {digits!r}")
     if digits < 0:
         raise PreconditionError(f"digits must be >= 0, got {digits}")
     scale = 10**digits
@@ -131,7 +135,13 @@ def normalize_pair(
                     f"{label} grid row {i} has {len(row)} entries, expected {cols}"
                 )
             for j, v in enumerate(row):
-                if v < 0:
+                try:
+                    negative = v < 0
+                except TypeError:  # a str, None or other value with no order
+                    raise PreconditionError(
+                        f"{label} grid cell ({i}, {j}) is not a number: {v!r}"
+                    ) from None
+                if negative:
                     raise NegativeEntryError(f"{label} grid has a negative cell {v!r}")
                 try:
                     x = float(v) * scale

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -193,3 +196,18 @@ def test_plot_empty_records(tmp_path, capsys):
     )
     assert main(["plot", "--in", str(src), "--out", str(tmp_path / "x.svg")]) == 2
     capsys.readouterr()
+
+
+def test_import_footprint():
+    # The CLI stays cheap to start: importing it loads no XML, network or
+    # mail modules (one xml.sax import used to pull in all of them).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    heavy = ("xml.sax", "urllib.request", "http.client", "email", "ssl")
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import gridemd.cli; "
+        f"print(*[m for m in {heavy!r} if m in sys.modules])"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert run.stdout.split() == []

@@ -42,10 +42,15 @@ def test_construction_rejects_bad_inputs():
         GridHistogram(1, 2, (1, -1))
     with pytest.raises(ValueError):
         GridHistogram(1, 2, (1, 1.5))
+    with pytest.raises(ValueError):
+        GridHistogram(1, 2, (1, True))
 
 
 def test_construction_errors_are_typed():
-    for rows, cols, cells in ((0, 2, ()), (2, 2, (1, 2, 3)), (1, 2, (1, -1)), (1, 2, (1, 1.5))):
+    for rows, cols, cells in (
+        (0, 2, ()), (2, 2, (1, 2, 3)), (1, 2, (1, -1)), (1, 2, (1, 1.5)),
+        (1, 2, (1, True)),
+    ):
         with pytest.raises(GridEmdError):
             GridHistogram(rows, cols, cells)
 

@@ -190,10 +190,15 @@ def test_normalize_pair_errors():
         normalize_pair([[1.0, 1.0]], [[2.0]], digits=0)
     with pytest.raises(PreconditionError, match="^digits must be >= 0"):
         normalize_pair([[1.0]], [[1.0]], digits=-1)
+    with pytest.raises(PreconditionError, match="^digits must be an int"):
+        normalize_pair([[1.0]], [[1.0]], digits=1.5)
     # A fault inside a grid is found before any check on the pair, and its
     # message names the grid.
     for p, q, error, where in (
         ([[float("nan")]], [[1.0]], PreconditionError, "first grid cell (0, 0) "),
+        # A cell with no order against 0 is found before the sign check.
+        ([["1"]], [[1.0]], PreconditionError, "first grid cell (0, 0) is not a number"),
+        ([[1.0]], [[None]], PreconditionError, "second grid cell (0, 0) is not a number"),
         ([[-1.0]], [[1.0]], NegativeEntryError, "first grid "),
         ([[0.004, 0.004]], [[1.0, 0.0]], AllZeroError, "first grid "),
         # Ragged, with totals 8 vs 3 that would also fail the residue check.

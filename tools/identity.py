@@ -195,6 +195,10 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.normalize_pair, ([[-1.0]], [[1.0]])),
         (gridemd.normalize_pair, ([[1.0], [2.0, 5.0]], [[1.0], [2.0]])),
         (gridemd.normalize_pair, ([[1.0], [2.0]], [[1.0], [2.0, 3.0]])),
+        (G, (1, 1, (True,))),
+        (gridemd.normalize_pair, ([[1.0]], [[1.0]], 1.5)),
+        (gridemd.normalize_pair, ([["1"]], [[1.0]])),
+        (gridemd.normalize_pair, ([[None]], [[1.0]])),
     ]
     for i, (fn, args) in enumerate(cases):
         yield f"error/{i}", _outcome(fn, *args)
