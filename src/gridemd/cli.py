@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from typing import Callable, Sequence, TextIO, TypeVar
 
 from .bench import SweepConfig, aggregate, emit_records_csv, read_records_csv, run_sweep
@@ -24,6 +25,18 @@ from .wd1d import prefix_work
 from .wd1d import wd_1d  # noqa: F401
 
 T = TypeVar("T")
+
+# (flag, SweepConfig field, metavar, help) per `gridemd bench` setting.
+_BENCH_SETTINGS = (
+    ("--n", "n_fixed", "N", "fixed column count"),
+    ("--m-min", "m_min", "M_MIN", "first row count"),
+    ("--m-max", "m_max", "M_MAX", "last row count"),
+    ("--trials", "trials_per_m", "TRIALS", "trials per row count"),
+    ("--cell-max", "cell_max", "CELL_MAX", "largest random cell value"),
+    ("--seed", "master_seed", "SEED", "master seed"),
+    ("--mwd-mass-cap", "mwd_mass_cap", "MWD_MASS_CAP",
+     "skip the exact solve above this total mass; negative disables the cap"),
+)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -68,23 +81,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact distance, the quasi distance, and the raw vectorized 1D "
         "distance, with relative errors and timings.",
     )
-    bench.add_argument("--n", type=int, default=8, help="fixed column count (default 8)")
-    bench.add_argument("--m-min", type=int, default=2, help="first row count (default 2)")
-    bench.add_argument("--m-max", type=int, default=8, help="last row count (default 8)")
-    bench.add_argument(
-        "--trials", type=int, default=20, help="trials per row count (default 20)"
-    )
-    bench.add_argument(
-        "--cell-max", type=int, default=9, help="largest random cell value (default 9)"
-    )
-    bench.add_argument("--seed", type=int, default=42, help="master seed (default 42)")
-    bench.add_argument(
-        "--mwd-mass-cap",
-        type=int,
-        default=4000,
-        help="skip the exact solve above this total mass; negative disables "
-        "the cap (default 4000)",
-    )
+    for flag, field, metavar, help_text in _BENCH_SETTINGS:
+        bench.add_argument(
+            flag, type=int, dest=field, metavar=metavar,
+            default=getattr(SweepConfig, field), help=f"{help_text} (default %(default)s)",
+        )
     bench.add_argument(
         "--out", default="records.csv", help="records CSV path (default records.csv)"
     )
@@ -151,17 +152,10 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    cap = None if args.mwd_mass_cap < 0 else args.mwd_mass_cap
-    cfg = SweepConfig(
-        n_fixed=args.n,
-        m_min=args.m_min,
-        m_max=args.m_max,
-        trials_per_m=args.trials,
-        cell_max=args.cell_max,
-        master_seed=args.seed,
-        mwd_mass_cap=cap,
-    )
-    records = run_sweep(cfg)
+    settings = {f.name: getattr(args, f.name) for f in fields(SweepConfig)}
+    if settings["mwd_mass_cap"] < 0:  # the flag's way to say "no cap"
+        settings["mwd_mass_cap"] = None
+    records = run_sweep(SweepConfig(**settings))
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         emit_records_csv(records, fh)
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)

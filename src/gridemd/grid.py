@@ -32,9 +32,9 @@ class GridHistogram:
     """An immutable rows x cols grid of nonnegative integer masses.
 
     ``cells`` holds the masses in row-major order; cell (i, j) lives at
-    flat index ``i * cols + j``. Each cell is exactly an ``int``: a
-    ``bool`` would be written by ``format_grid`` as text that
-    ``parse_grid`` rejects.
+    flat index ``i * cols + j``. The dimensions and each cell are exactly
+    ``int``s: a ``bool`` cell would be written by ``format_grid`` as text
+    that ``parse_grid`` rejects.
     """
 
     rows: int
@@ -42,6 +42,8 @@ class GridHistogram:
     cells: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if type(self.rows) is not int or type(self.cols) is not int:
+            raise PreconditionError(f"grid dimensions must be ints, got {self.rows!r}x{self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise PreconditionError(f"grid dimensions must be >= 1, got {self.rows}x{self.cols}")
         if len(self.cells) != self.rows * self.cols:

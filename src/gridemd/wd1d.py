@@ -19,7 +19,13 @@ from itertools import accumulate
 from operator import sub
 from typing import Iterable, Sequence
 
-from .errors import LengthMismatchError, MassMismatchError, MassTooLargeError, NegativeEntryError
+from .errors import (
+    LengthMismatchError,
+    MassMismatchError,
+    MassTooLargeError,
+    NegativeEntryError,
+    PreconditionError,
+)
 
 ORACLE_MASS_LIMIT = 64
 
@@ -27,11 +33,19 @@ ORACLE_MASS_LIMIT = 64
 def _check_pair(a: Sequence[int], b: Sequence[int]) -> int:
     if len(a) != len(b):
         raise LengthMismatchError(f"vector lengths differ: {len(a)} vs {len(b)}")
-    for vec in (a, b):
-        if min(vec, default=0) < 0:
-            neg = next(v for v in vec if v < 0)
-            raise NegativeEntryError(f"negative mass {neg!r}")
-    ta, tb = sum(a), sum(b)
+    try:
+        for vec in (a, b):
+            if min(vec, default=0) < 0:
+                neg = next(v for v in vec if v < 0)
+                raise NegativeEntryError(f"negative mass {neg!r}")
+        ta, tb = sum(a), sum(b)
+    except TypeError:  # an entry that cannot be compared with 0 or summed
+        ta = tb = None
+    # Only ints sum to an int, so valid input takes no extra pass here.
+    if type(ta) is not int or type(tb) is not int:
+        for v in (*a, *b):
+            if not isinstance(v, int):
+                raise PreconditionError(f"entries must be ints, got {v!r}")
     if ta != tb:
         raise MassMismatchError(f"total masses differ: {ta} vs {tb}")
     return ta

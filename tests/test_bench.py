@@ -148,6 +148,14 @@ def test_config_validation():
         SweepConfig(cell_max=0)
     with pytest.raises(PreconditionError):
         SweepConfig(n_fixed=0)
+    # None is the only "no cap"; a negative cap would exclude every trial.
+    with pytest.raises(PreconditionError, match=r"^mwd_mass_cap must be >= 0 or None, got -5$"):
+        SweepConfig(mwd_mass_cap=-5)
+    assert SweepConfig(mwd_mass_cap=None).mwd_mass_cap is None
+    with pytest.raises(PreconditionError, match=r"^n_fixed must be an int, got 2\.0$"):
+        SweepConfig(n_fixed=2.0)
+    with pytest.raises(PreconditionError, match=r"^cell_max must be an int, got 1\.5$"):
+        SweepConfig(cell_max=1.5)
 
 
 def _record(**overrides):

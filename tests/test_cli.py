@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from gridemd import read_records_csv
-from gridemd.cli import main
+from gridemd import SweepConfig, read_records_csv
+from gridemd.cli import _PARSER, main
 
 
 @pytest.fixture
@@ -127,6 +127,13 @@ def test_bench_writes_csv_and_summary(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "mean_err_qmwd" in captured.out
     assert "wrote 8 records" in captured.err
+
+
+def test_bench_defaults_are_the_sweep_config():
+    # Each bench flag stores its SweepConfig field, with that field's default.
+    args = vars(_PARSER.parse_args(["bench"]))
+    expected = vars(SweepConfig())
+    assert {name: args.get(name) for name in expected} == expected
 
 
 def test_bench_rejects_bad_flags(tmp_path, capsys):

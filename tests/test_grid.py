@@ -44,12 +44,18 @@ def test_construction_rejects_bad_inputs():
         GridHistogram(1, 2, (1, 1.5))
     with pytest.raises(ValueError):
         GridHistogram(1, 2, (1, True))
+    with pytest.raises(ValueError, match=r"^grid dimensions must be ints, got 2\.0x2$"):
+        GridHistogram(2.0, 2, (1, 2, 3, 4))
+    with pytest.raises(ValueError, match=r"^grid dimensions must be ints, got Truex1$"):
+        GridHistogram(True, 1, (1,))
+    with pytest.raises(ValueError, match=r"^grid dimensions must be >= 1, got 0x3$"):
+        GridHistogram(0, 3, ())
 
 
 def test_construction_errors_are_typed():
     for rows, cols, cells in (
         (0, 2, ()), (2, 2, (1, 2, 3)), (1, 2, (1, -1)), (1, 2, (1, 1.5)),
-        (1, 2, (1, True)),
+        (1, 2, (1, True)), (2.0, 2, (1, 2, 3, 4)), (True, 1, (1,)), (1, 2.0, (1, 2)),
     ):
         with pytest.raises(GridEmdError):
             GridHistogram(rows, cols, cells)

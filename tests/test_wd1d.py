@@ -11,6 +11,7 @@ from gridemd import (
     MassMismatchError,
     MassTooLargeError,
     NegativeEntryError,
+    PreconditionError,
     wd_1d,
     wd_1d_oracle,
 )
@@ -51,6 +52,16 @@ def test_error_messages():
         wd_1d((0, 0), (1, -1))
     with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):
         wd_1d((1, 0), (1, 1))
+    # Entries that are not ints: summed as floats, or not comparable with 0.
+    for fn, a, b, bad in (
+        (wd_1d, (0.5, 0.5), (1.0, 0.0), "0.5"),
+        (wd_1d_oracle, (0.5, 0.5), (1.0, 0.0), "0.5"),
+        (wd_1d, "ab", "ab", "'a'"),
+        (wd_1d, (None,), (None,), "None"),
+        (wd_1d, (1, 2), (3, None), "None"),
+    ):
+        with pytest.raises(PreconditionError, match=rf"^entries must be ints, got {bad}$"):
+            fn(a, b)
 
 
 def test_oracle_worked_values():

@@ -199,6 +199,15 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.normalize_pair, ([[1.0]], [[1.0]], 1.5)),
         (gridemd.normalize_pair, ([["1"]], [[1.0]])),
         (gridemd.normalize_pair, ([[None]], [[1.0]])),
+        (gridemd.SweepConfig, (8, 2, 8, 20, 9, 42, -5)),
+        (gridemd.SweepConfig, (2.0,)),
+        (gridemd.SweepConfig, (8, 2, 8, 20, 1.5)),
+        (gridemd.wd_1d, ([0.5, 0.5], [1.0, 0.0])),
+        (gridemd.wd_1d, ("ab", "ab")),
+        (gridemd.wd_1d, ([None], [None])),
+        (gridemd.wd_1d_oracle, ([0.5, 0.5], [1.0, 0.0])),
+        (G, (2.0, 2, (1, 2, 3, 4))),
+        (G, (True, 1, (1,))),
     ]
     for i, (fn, args) in enumerate(cases):
         yield f"error/{i}", _outcome(fn, *args)
