@@ -64,8 +64,14 @@ def gen_random_grid(m: int, n: int, seed: int, cell_max: int) -> GridHistogram:
     """Random grid with cells i.i.d. uniform on {0, ..., cell_max}.
 
     A pure function of its arguments: the same inputs give the identical
-    grid on every platform and run.
+    grid on every platform and run. Raises PreconditionError for a
+    ``cell_max`` or a dimension that is not an int, and for ``cell_max < 0``
+    or a dimension below 1.
     """
+    if type(cell_max) is not int:
+        raise PreconditionError(f"cell_max must be an int, got {cell_max!r}")
+    if type(m) is not int or type(n) is not int:
+        raise PreconditionError(f"grid dimensions must be ints, got {m!r}x{n!r}")
     if cell_max < 0:
         raise PreconditionError(f"cell_max must be >= 0, got {cell_max}")
     rng = random.Random(seed)

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from dataclasses import fields
+from operator import sub
 from typing import Callable, Sequence, TextIO, TypeVar
 
 from .bench import SweepConfig, aggregate, emit_records_csv, read_records_csv, run_sweep
@@ -132,7 +133,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         if args.plan:
             plan_rows = [[*mv.src, *mv.dst, mv.amount] for mv in res.plan]
     if args.metric in ("wdvec", "all"):
-        out["wd_vec"] = prefix_work(check_pair(p, q))
+        check_pair(p, q)
+        out["wd_vec"] = prefix_work(map(sub, p.cells, q.cells))
     if args.metric in ("qmwd", "all"):
         out["qmwd"] = qmwd(p, q).qmwd
 

@@ -15,7 +15,6 @@ reference transforms for the orders those slices stand for.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Sequence
 
 from .errors import (
@@ -135,23 +134,19 @@ def total_mass(g: GridHistogram) -> int:
     return sum(g.cells)
 
 
-def check_pair(p: GridHistogram, q: GridHistogram) -> tuple[int, ...]:
-    """Check that two grids can be compared and return ``p - q`` cell by cell.
+def check_pair(p: GridHistogram, q: GridHistogram) -> None:
+    """Check that two grids can be compared: DimensionMismatchError for
+    different shapes, then MassMismatchError for different totals.
 
-    The result is row-major like ``cells`` and sums to 0. Raises
-    DimensionMismatchError for different shapes and MassMismatchError for
-    different totals.
+    Every distance measure on a pair of grids runs this check first.
     """
     if p.shape != q.shape:
         raise DimensionMismatchError(
             f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}"
         )
-    d = tuple(map(sub, p.cells, q.cells))
-    if sum(d):
-        raise MassMismatchError(
-            f"total masses differ: {total_mass(p)} vs {total_mass(q)}"
-        )
-    return d
+    tp, tq = total_mass(p), total_mass(q)
+    if tp != tq:
+        raise MassMismatchError(f"total masses differ: {tp} vs {tq}")
 
 
 def format_grid(g: GridHistogram, sep: str = " ") -> str:

@@ -1,12 +1,12 @@
 """Exact earth mover's distance between equal-mass grids under Manhattan cost.
 
 Mass common to both grids stays where it is at zero cost. After
-``check_pair`` builds ``d = p - q``, one pass finds the support, the cells
-where either grid holds mass, and every move is built from it: the common
-mass ``min(p, q)`` as src == dst moves, so the plan's marginals always match
-the full input grids, and the moves the solve ships. Only ``d`` enters the
-solve: surplus cells are where it is positive, deficit cells where it is
-negative. The distance is the plan's cost.
+``check_pair``, one pass finds the support, the cells where either grid
+holds mass, and every move is built from it: the common mass ``min(p, q)``
+as src == dst moves, so the plan's marginals always match the full input
+grids, and the moves the solve ships. Only the difference ``d = p - q``
+enters the solve: surplus cells are where it is positive, deficit cells
+where it is negative. The distance is the plan's cost.
 
 Two exact engines solve for ``d``; ``mwd_exact`` picks one by the input's
 shape alone. With S surplus and D deficit cells among N:
@@ -14,19 +14,23 @@ shape alone. With S surplus and D deficit cells among N:
 - ``S * D > GRID_ENGINE_RATIO * N`` (dense): ``_solve_grid``, a primal-dual
   min-cost flow on the 4-neighbour grid graph, whose O(N) unit-cost arcs
   carry the Manhattan cost (EMD-L1, Ling & Okada 2007);
-- otherwise (sparse): ``_solve_transport``, successive shortest paths on
-  the bipartite surplus x deficit graph, whose S * D arcs each cost the
-  Manhattan distance of their ends.
+- otherwise (sparse): ``_solve_transport``, single-source shortest
+  augmenting paths on the bipartite surplus x deficit graph, whose S * D
+  arcs each cost the Manhattan distance of their ends.
+
+Only the grid engine reads ``d`` as a full N-cell vector; the sparse path
+builds its input from the support alone.
 
 Integer supplies make both problems' optima integral, so the distance and
 every plan amount are exact ints. Both engines give the same distance; when
 several plans are optimal they may return different ones.
 
-Both engines stay because neither is fast on the other's inputs. The grid
-engine is ≈ 150x slower on 128x128 grids of 32 point masses, and running
-its primal-dual code on the bipartite graph instead of successive shortest
-paths took 7.0-8.5 ms per such solve against 3.4-4.4 ms on a 2-vCPU host,
-with the same distances.
+Both engines stay because neither is fast on the other's inputs. On 128x128
+grids of 32 point masses the grid engine is ≈ 700-1000x slower; running its
+primal-dual code on the bipartite graph took 7.0-8.5 ms per such solve,
+against 3.4-4.4 ms for the multi-source heap successive-shortest-path solve
+that the single-source one replaced, which takes 0.6-0.9 ms (2-vCPU host,
+same distances).
 """
 
 from __future__ import annotations
@@ -34,7 +38,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import compress
-from operator import or_
+from operator import or_, sub
 from typing import Iterable
 
 from .errors import MassTooLargeError
@@ -45,11 +49,12 @@ Cell = tuple[int, int]
 ORACLE_MASS_LIMIT = 12
 # The grid engine runs when surplus cells x deficit cells exceeds this many
 # times the cell count. Measured crossovers (both engines on the same pairs):
-# ≈ 3-4 on small dense grids (8x8 and 10x10, cells 0..1) and ≈ 5-7 on
-# 24x24 to 64x64 grids of point masses; at 12x12 with cells 0..9 (ratio ≈ 29)
-# the grid engine is ≈ 6-13x faster, at 128x128 with 32 point masses per grid
-# (ratio ≈ 0.06) it is ≈ 150-190x slower.
-GRID_ENGINE_RATIO = 5
+# ≈ 11 on small uniform grids (8x8 to 16x16, cells 0..1 to 0..3; below a
+# ratio of 10 the bipartite engine is faster on most pairs), while on 24x24
+# to 64x64 grids of point masses the bipartite engine stays 2-4x faster up to
+# ratios of 15; at 12x12 with cells 0..9 (ratio ≈ 24-33) the grid engine is
+# ≈ 2.5x faster.
+GRID_ENGINE_RATIO = 10
 
 
 @dataclass(frozen=True, slots=True)
@@ -93,20 +98,21 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     the time taken and possibly which optimal plan is returned, never the
     distance.
 
-    One pass over the pair finds its support; the engine's input and every
-    move are built from it, and the distance is ``plan_cost`` of the plan.
+    One pass over the pair finds its support; every move and the bipartite
+    engine's input are built from it, the grid engine alone gets the full
+    ``p - q``, and the distance is ``plan_cost`` of the plan.
     """
-    d = check_pair(p, q)
+    check_pair(p, q)
     pc, qc, cols = p.cells, q.cells, p.cols
     # One (row, col) tuple per cell where either grid holds mass, shared by
     # that cell's stay-put move and every move it ships along.
-    cell = {i: divmod(i, cols) for i in compress(range(len(d)), map(or_, pc, qc))}
-    sup = [(i, v) for i in cell if (v := d[i]) > 0]
-    dem = [(i, -v) for i in cell if (v := d[i]) < 0]
+    cell = {i: divmod(i, cols) for i in compress(range(len(pc)), map(or_, pc, qc))}
+    sup = [(i, v) for i in cell if (v := pc[i] - qc[i]) > 0]
+    dem = [(i, -v) for i in cell if (v := pc[i] - qc[i]) < 0]
     moves = [Move(c, c, k) for i, c in cell.items() if (k := min(pc[i], qc[i]))]
 
-    if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(d):
-        shipped = _solve_grid(d, p.rows, cols)
+    if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(pc):
+        shipped = _solve_grid(tuple(map(sub, pc, qc)), p.rows, cols)
     else:
         shipped = _solve_transport(sup, dem, cols)
 
@@ -154,8 +160,9 @@ def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
 def _solve_transport(
     sup: list[tuple[int, int]], dem: list[tuple[int, int]], cols: int
 ) -> dict[tuple[int, int], int]:
-    """Min-cost balanced transportation via successive shortest paths: the
-    sparse engine of ``mwd_exact``.
+    """Min-cost balanced transportation by single-source shortest augmenting
+    paths (Jonker & Volgenant 1987; Ahuja, Magnanti & Orlin, *Network
+    Flows*, 9.7): the sparse engine of ``mwd_exact``.
 
     ``sup`` and ``dem`` list the surplus and deficit cells as (flat index,
     amount) in row-major order; every surplus-deficit arc exists with
@@ -163,80 +170,88 @@ def _solve_transport(
     the shipped amounts as ``{(source, sink): amount}`` with flat cell
     indices.
 
-    Node ``s < ns`` is source s and node ``ns + k`` is sink k. Each round
-    runs Dijkstra over the residual graph (forward arcs source -> sink at
-    ``cost_rows[s][k]``, one backward arc per positive flow at minus that
-    cost) from every source with supply left, stops at the first settled
-    sink with demand left, augments along the shortest path, and adds
-    ``min(dist, target distance)`` to each node's potential. Under these
-    capped potentials every residual arc keeps a nonnegative reduced cost,
-    so no settled node can be improved: a heap entry is stale exactly when
-    its distance exceeds ``dist[node]``. At equal distance sources pop
-    before sinks, and lower indices first.
+    Sources and sinks carry potentials, and the reduced cost ``cost + source
+    potential - sink potential`` of every arc stays nonnegative; it is 0 on
+    every arc carrying flow, since that flow can also be cancelled. Each
+    phase serves the first source in row-major order that still has
+    supply, its root. Sink distances start from the root's reduced-cost row;
+    the phase then settles the open sink of least distance until it settles
+    one with demand left, the target. A settled sink reaches the sources
+    that ship to it at its own distance, and each source so reached relaxes
+    its row once. Potentials change by ``distance - target distance`` on the
+    nodes the phase reached, which keeps the invariant. The path from root
+    to target alternates shipping and cancelling flow, and carries
+    ``min(root supply, target demand, each flow it cancels)``. Ties settle
+    the lower sink index first.
     """
-    src = [divmod(i, cols) for i, _ in sup]
     dst = [divmod(i, cols) for i, _ in dem]
-    cost_rows = [[abs(si - di) + abs(sj - dj) for di, dj in dst] for si, sj in src]
-    ns = len(sup)
-    rem = [a for _, a in sup + dem]
-    pot = [0] * len(rem)
+    cost_rows = [
+        [abs(si - di) + abs(sj - dj) for di, dj in dst]
+        for si, sj in (divmod(i, cols) for i, _ in sup)
+    ]
+    supply = [a for _, a in sup]
+    demand = [a for _, a in dem]
+    pot_s = [0] * len(sup)
+    pot_t = [0] * len(dem)
     flow_by_d: list[dict[int, int]] = [{} for _ in dem]
-    inf = float("inf")
 
-    # Supply and demand totals stay equal, so sources with supply left run
-    # out exactly when every sink's demand is met.
-    while heap := [(0, s) for s in range(ns) if rem[s] > 0]:  # ascending, hence a heap
-        dist: list[int | float] = [inf] * len(rem)
-        par = [-1] * len(rem)  # predecessor node on the shortest path (-1: root)
-        for _, s in heap:
-            dist[s] = 0
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            base = du + pot[u]
-            if u < ns:
-                for v, c in enumerate(cost_rows[u], ns):
-                    alt = base + c - pot[v]
-                    if alt < dist[v]:
-                        dist[v] = alt
-                        par[v] = u
-                        heapq.heappush(heap, (alt, v))
-            elif rem[u] > 0:
-                break
-            else:
-                k = u - ns
+    # Only a phase's own root loses supply: every other source on its path
+    # ships as much as it cancels. Totals are equal, so while the root has
+    # supply some sink has demand, and every sink is one arc from the root.
+    for root in range(len(sup)):
+        while supply[root]:
+            pr = pot_s[root]
+            dist = [c + pr - pt for c, pt in zip(cost_rows[root], pot_t)]
+            via = [root] * len(dem)  # source before each sink on its path
+            reached = {root: 0}  # source -> its distance
+            back: dict[int, int] = {}  # source -> the sink that reached it
+            open_sinks = list(range(len(dem)))
+            settled = []
+            while True:
+                k = min(open_sinks, key=dist.__getitem__)
+                du = dist[k]
+                if demand[k]:
+                    break
+                open_sinks.remove(k)
+                settled.append(k)
                 for s in flow_by_d[k]:
-                    alt = base - cost_rows[s][k] - pot[s]
-                    if alt < dist[s]:
-                        dist[s] = alt
-                        par[s] = u
-                        heapq.heappush(heap, (alt, s))
-        else:
-            raise AssertionError("balanced transportation instance became infeasible")
-        pot = [p + (d if d < du else du) for p, d in zip(pot, dist)]
+                    if s in reached:
+                        continue
+                    reached[s] = du
+                    back[s] = k
+                    base = du + pot_s[s]
+                    row = cost_rows[s]
+                    for j in open_sinks:
+                        alt = base + row[j] - pot_t[j]
+                        if alt < dist[j]:
+                            dist[j] = alt
+                            via[j] = s
+            for j in settled:
+                pot_t[j] += dist[j] - du
+            for s, ds in reached.items():
+                pot_s[s] += ds - du
 
-        # The path alternates sink, source, ..., sink, source from the
-        # target back to its root source.
-        path = [u]
-        while par[u] >= 0:
-            u = par[u]
-            path.append(u)
-        srcs = path[1::2]
-        sinks = [v - ns for v in path[::2]]
-        target, root = path[0], srcs[-1]
-        back = [flow_by_d[k][s] for s, k in zip(srcs, sinks[1:])]
-        delta = min(rem[target], rem[root], *back)
-        for s, k in zip(srcs, sinks):
-            flow_by_d[k][s] = flow_by_d[k].get(s, 0) + delta
-        for s, k in zip(srcs, sinks[1:]):
-            f = flow_by_d[k][s] - delta
-            if f:
-                flow_by_d[k][s] = f
-            else:
-                del flow_by_d[k][s]
-        rem[root] -= delta
-        rem[target] -= delta
+            # Walk back from the target: each source before the root was
+            # reached by cancelling its flow to the sink ``back[s]``.
+            target, s = k, via[k]
+            ships = [(s, target)]
+            cancels = []
+            while s != root:
+                k = back[s]
+                cancels.append((s, k))
+                s = via[k]
+                ships.append((s, k))
+            delta = min(supply[root], demand[target], *(flow_by_d[k][s] for s, k in cancels))
+            for s, k in ships:
+                flow_by_d[k][s] = flow_by_d[k].get(s, 0) + delta
+            for s, k in cancels:
+                f = flow_by_d[k][s] - delta
+                if f:
+                    flow_by_d[k][s] = f
+                else:
+                    del flow_by_d[k][s]
+            supply[root] -= delta
+            demand[target] -= delta
 
     return {
         (sup[s][0], dem[k][0]): amt

@@ -27,6 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
+from operator import sub
 
 from .errors import (
     AllZeroError,
@@ -76,7 +77,8 @@ def qmwd(p: GridHistogram, q: GridHistogram) -> QmwdBreakdown:
     Requires identical shapes and equal total mass; a pair of all-zero
     grids is allowed and yields an all-zero breakdown.
     """
-    d = check_pair(p, q)
+    check_pair(p, q)
+    d = tuple(map(sub, p.cells, q.cells))
     # The transposed grid's row-major vectorization is the columns in order;
     # the quarter-turned grid's is the same columns in reverse order.
     cols = p.cols

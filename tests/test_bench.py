@@ -60,6 +60,21 @@ def test_gen_random_grid_rejects_bad_dims():
         gen_random_grid(-10**9, -10**9, 1, 9)
 
 
+def test_gen_random_grid_rejects_non_int_cell_max():
+    with pytest.raises(PreconditionError, match=r"^cell_max must be an int, got 1\.5$"):
+        gen_random_grid(2, 2, 1, 1.5)
+
+
+def test_gen_random_grid_rejects_non_int_dims():
+    with pytest.raises(PreconditionError, match=r"^grid dimensions must be ints, got 2\.0x2$"):
+        gen_random_grid(2.0, 2, 1, 9)
+
+
+def test_gen_random_grid_rejects_str_cell_max():
+    with pytest.raises(PreconditionError, match=r"^cell_max must be an int, got '9'$"):
+        gen_random_grid(2, 2, 1, "9")
+
+
 def test_equalize_mass():
     p = GridHistogram.from_rows([[4, 3], [2, 1]])
     q = GridHistogram.from_rows([[3, 2], [1, 1]])

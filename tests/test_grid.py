@@ -183,7 +183,9 @@ def test_total_mass():
 def test_check_pair():
     p = GridHistogram.from_rows([[3, 0], [1, 2]])
     q = GridHistogram.from_rows([[1, 2], [0, 3]])
-    assert check_pair(p, q) == (2, -2, 1, -1)
+    assert check_pair(p, q) is None
+    with pytest.raises(DimensionMismatchError, match=r"^grids are 2x2 vs 1x4$"):
+        check_pair(p, GridHistogram(1, 4, q.cells))
     with pytest.raises(DimensionMismatchError, match=r"^grids are 1x2 vs 2x1$"):
         check_pair(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 0)))
     with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from operator import sub
 
 import pytest
 
@@ -24,7 +25,6 @@ from gridemd import (
     transpose,
     wd_1d,
 )
-from gridemd.grid import check_pair
 from tests._reference import plan_is_optimal
 from tests._util import plan_marginals, random_grid, random_pair
 
@@ -213,7 +213,7 @@ def _separable_bound(p, q):
 def _engine_plans(p, q):
     """Full plans from both engines run directly on the same ``d = p - q``:
     stay-put moves plus each engine's shipped amounts."""
-    d = check_pair(p, q)
+    d = tuple(a - b for a, b in zip(p.cells, q.cells))
     cols = p.cols
     stay = [Move(divmod(i, cols), divmod(i, cols), min(a, b))
             for i, (a, b) in enumerate(zip(p.cells, q.cells)) if min(a, b)]
@@ -269,9 +269,9 @@ def test_size_rule_picks_engine(monkeypatch):
     sparse = _point_mass_pair(rng, 128, 128, 32, 100)
     dense = _uniform_pair(rng, 12, 12, 9)
     zero = GridHistogram(3, 4, (0,) * 12)
-    # 1x40 alternating units: S * D = 400 > 5 * 40, each unit moves one step.
-    row_p = GridHistogram(1, 40, (1, 0) * 20)
-    row_q = GridHistogram(1, 40, (0, 1) * 20)
+    # 1x48 alternating units: S * D = 576 > 10 * 48, each unit moves one step.
+    row_p = GridHistogram(1, 48, (1, 0) * 24)
+    row_q = GridHistogram(1, 48, (0, 1) * 24)
     for (p, q), engine in (
         (sparse, "_solve_transport"),
         (dense, "_solve_grid"),
@@ -283,13 +283,55 @@ def test_size_rule_picks_engine(monkeypatch):
         assert used == [engine]
         assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
         assert plan_cost(res.plan) == res.distance
-    assert mwd_exact(row_p, row_q).distance == 20
+    assert mwd_exact(row_p, row_q).distance == 24
+
+
+def test_sparse_engine_reroutes_shipped_flow(monkeypatch):
+    # The first phase ships cell 2 to its nearest sink, cell 3; the second
+    # finds cell 4's cheapest route through cell 3 and cancels that flow.
+    p = GridHistogram(1, 5, (0, 0, 1, 0, 1))
+    q = GridHistogram(1, 5, (1, 0, 0, 1, 0))
+    used, res = _engine_used(monkeypatch, p, q)
+    assert used == ["_solve_transport"]
+    assert res.distance == 3
+    assert res.plan == (Move((0, 2), (0, 0), 1), Move((0, 4), (0, 3), 1))
+    assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
+    assert plan_cost(res.plan) == res.distance
+
+
+def _uneven_point_pair(rng, m, n, points):
+    """``points`` masses of 1..50 units at distinct cells of p, and the same
+    total split into ``points`` positive parts at distinct cells of q."""
+    p = [0] * (m * n)
+    q = [0] * (m * n)
+    for i in rng.sample(range(m * n), points):
+        p[i] = rng.randint(1, 50)
+    total = sum(p)
+    cuts = sorted(rng.sample(range(1, total), points - 1))
+    for i, amount in zip(rng.sample(range(m * n), points), map(sub, cuts + [total], [0] + cuts)):
+        q[i] = amount
+    return GridHistogram(m, n, tuple(p)), GridHistogram(m, n, tuple(q))
+
+
+def test_engines_agree_on_uneven_point_masses():
+    rng = random.Random(709)
+    for _ in range(12):
+        side = rng.choice((32, 40, 48, 56, 64))
+        p, q = _uneven_point_pair(rng, side, side, rng.randint(2, 24))
+        plans = _engine_plans(p, q)
+        distance = plan_cost(plans["bipartite"])
+        assert distance == plan_cost(plans["grid"]) == mwd_exact(p, q).distance
+        assert distance >= _separable_bound(p, q)
+        for plan in plans.values():
+            assert plan_marginals(plan, p.rows, p.cols) == (p.cells, q.cells)
+            assert plan_is_optimal(p, q, plan)
 
 
 def _certificate_cases():
     """Seeded pairs for the optimality certificate: 300 up to 8x8 (cells
     0/1/3/9), 20 dense 12x12 pairs above the oracle's mass limit (grid
-    engine) and 4 128x128 point-mass pairs (bipartite engine)."""
+    engine), and 4 128x128 point-mass pairs and 4 32x32 to 64x64 pairs of
+    uneven point masses (bipartite engine)."""
     rng = random.Random(1414)
     small = [
         _uniform_pair(rng, rng.randrange(1, 9), rng.randrange(1, 9), rng.choice((0, 1, 3, 9)))
@@ -297,6 +339,7 @@ def _certificate_cases():
     ]
     dense = [_uniform_pair(rng, 12, 12, 9) for _ in range(20)]
     sparse = [_point_mass_pair(rng, 128, 128, 8, 100) for _ in range(4)]
+    sparse += [_uneven_point_pair(rng, side, side, 24) for side in (32, 40, 48, 64)]
     return small, dense, sparse
 
 

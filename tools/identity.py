@@ -208,6 +208,9 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.wd_1d_oracle, ([0.5, 0.5], [1.0, 0.0])),
         (G, (2.0, 2, (1, 2, 3, 4))),
         (G, (True, 1, (1,))),
+        (gridemd.gen_random_grid, (2, 2, 1, 1.5)),
+        (gridemd.gen_random_grid, (2.0, 2, 1, 9)),
+        (gridemd.gen_random_grid, (2, 2, 1, "9")),
     ]
     for i, (fn, args) in enumerate(cases):
         yield f"error/{i}", _outcome(fn, *args)
