@@ -28,7 +28,6 @@ from .bench import (
 )
 from .charts import emit_svg
 from .errors import (
-    AllZeroError,
     BadTokenError,
     DimensionMismatchError,
     EmptyGridError,
@@ -41,7 +40,6 @@ from .errors import (
     NegativeEntryError,
     PreconditionError,
     RaggedRowsError,
-    ResidueTooLargeError,
 )
 from .grid import (
     GridHistogram,
@@ -59,13 +57,12 @@ from .mwd import (
     mwd_oracle_assignment,
     plan_cost,
 )
-from .qmwd import QmwdBreakdown, directional_estimate, normalize_pair, qmwd
+from .qmwd import QmwdBreakdown, directional_estimate, qmwd
 from .wd1d import wd_1d, wd_1d_oracle
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AllZeroError",
     "BadTokenError",
     "BenchRecord",
     "DimensionMismatchError",
@@ -83,7 +80,6 @@ __all__ = [
     "PreconditionError",
     "QmwdBreakdown",
     "RaggedRowsError",
-    "ResidueTooLargeError",
     "SweepConfig",
     "SweepSummary",
     "aggregate",
@@ -97,7 +93,6 @@ __all__ = [
     "manhattan_cost",
     "mwd_exact",
     "mwd_oracle_assignment",
-    "normalize_pair",
     "parse_grid",
     "plan_cost",
     "qmwd",

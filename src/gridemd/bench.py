@@ -168,12 +168,18 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _zero_one(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"expected 0 or 1, got {text!r}")
+    return text == "1"
+
+
 def _column_parser(annotation: str) -> Callable[[str], object]:
     """Cell parser for a BenchRecord field annotated ``int``, ``float``
-    (finite only), ``bool`` (written 0/1) or ``str``; ``X | None`` reads ""
-    as None."""
+    (finite only), ``bool`` (exactly 0 or 1) or ``str``; ``X | None``
+    reads "" as None."""
     kind, optional, _ = annotation.partition(" | None")
-    parse = {"int": int, "float": _finite_float, "bool": lambda t: bool(int(t)), "str": str}[kind]
+    parse = {"int": int, "float": _finite_float, "bool": _zero_one, "str": str}[kind]
     return (lambda t: None if t == "" else parse(t)) if optional else parse
 
 
@@ -306,8 +312,8 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
     """Parse a records CSV produced by emit_records_csv.
 
     The header line must match the documented one exactly; rows with the
-    wrong field count or unparsable or non-finite values are an
-    InputFormatError.
+    wrong field count, unparsable or non-finite values, or an ``excluded``
+    cell other than 0 or 1 are an InputFormatError.
     """
     reader = csv.reader(src)
     try:

@@ -51,13 +51,5 @@ class NegativeEntryError(PreconditionError):
     """A mass entry is negative."""
 
 
-class AllZeroError(PreconditionError):
-    """A grid carries no mass where positive mass is required."""
-
-
-class ResidueTooLargeError(PreconditionError):
-    """Rounding residue too large; the requested digit count is too coarse."""
-
-
 class EmptyInputError(GridEmdError, ValueError):
     """An aggregate was requested over an empty record set."""

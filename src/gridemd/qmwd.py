@@ -16,28 +16,14 @@ distance. On the 4x2 pair p = [[0,1],[0,0],[0,1],[0,0]],
 q = [[0,1],[0,0],[0,0],[1,0]] the exact distance is 2, but the transposed
 pass counts a 1D hop of 3 inside a row of length 4 as 3 cell hops, so
 ``qmwd`` is 3.
-
-Grids with real-valued cells are handled by ``normalize_pair``, which
-scales by a power of ten, rounds, and repairs any tiny rounding drift so
-the scaled pair is exactly equal-mass.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import chain
 from operator import sub
 
-from .errors import (
-    AllZeroError,
-    DimensionMismatchError,
-    EmptyGridError,
-    NegativeEntryError,
-    PreconditionError,
-    RaggedRowsError,
-    ResidueTooLargeError,
-)
 from .grid import GridHistogram, check_pair
 from .wd1d import prefix_work
 
@@ -100,78 +86,3 @@ def qmwd(p: GridHistogram, q: GridHistogram) -> QmwdBreakdown:
         est_transp=est_transp,
         qmwd=max(est_row, est_rot, est_transp),
     )
-
-
-def normalize_pair(
-    p_rows: list[list[float]], q_rows: list[list[float]], digits: int = 0
-) -> tuple[GridHistogram, GridHistogram, int]:
-    """Convert a pair of real-valued grids to integer grids of equal mass.
-
-    Every cell is multiplied by 10**digits and rounded to the nearest
-    integer (ties to even). Rounding can leave the two totals slightly
-    apart; the difference is added to the largest cell of the lighter grid
-    (first in row-major order on ties). Returns both integer grids plus the
-    scale factor used. Raises, checking in this order: PreconditionError
-    for digits that is not an int, then for digits < 0; per grid, first
-    then second, EmptyGridError, then per row RaggedRowsError and per cell
-    PreconditionError (not a number), NegativeEntryError or
-    PreconditionError (NaN, infinite or too large once scaled), then
-    AllZeroError if every scaled cell is 0; DimensionMismatchError;
-    ResidueTooLargeError for a residue above 1% of the larger total rather
-    than distorting the data.
-    """
-    if type(digits) is not int:
-        raise PreconditionError(f"digits must be an int, got {digits!r}")
-    if digits < 0:
-        raise PreconditionError(f"digits must be >= 0, got {digits}")
-    scale = 10**digits
-
-    def scaled(rows: list[list[float]], label: str) -> tuple[int, int, list[int]]:
-        if not rows or not rows[0]:
-            raise EmptyGridError(f"{label} grid is empty")
-        cols = len(rows[0])
-        cells: list[int] = []
-        for i, row in enumerate(rows):
-            if len(row) != cols:
-                raise RaggedRowsError(
-                    f"{label} grid row {i} has {len(row)} entries, expected {cols}"
-                )
-            for j, v in enumerate(row):
-                try:
-                    negative = v < 0
-                except TypeError:  # a str, None or other value with no order
-                    raise PreconditionError(
-                        f"{label} grid cell ({i}, {j}) is not a number: {v!r}"
-                    ) from None
-                if negative:
-                    raise NegativeEntryError(f"{label} grid has a negative cell {v!r}")
-                try:
-                    x = float(v) * scale
-                except OverflowError:  # an int or a scale beyond the float range
-                    x = math.inf
-                if not math.isfinite(x):
-                    raise PreconditionError(
-                        f"{label} grid cell ({i}, {j}) is NaN, infinite or too large"
-                        f" to scale by 10**{digits}"
-                    )
-                cells.append(round(x))
-        if not any(cells):
-            raise AllZeroError(
-                f"{label} grid scales to zero mass by 10**{digits}; increase digits"
-            )
-        return len(rows), cols, cells
-
-    mp, np_, cp = scaled(p_rows, "first")
-    mq, nq, cq = scaled(q_rows, "second")
-    if (mp, np_) != (mq, nq):
-        raise DimensionMismatchError(f"grids are {mp}x{np_} vs {mq}x{nq}")
-    tp, tq = sum(cp), sum(cq)
-    residue = abs(tp - tq)
-    if 100 * residue > max(tp, tq):
-        raise ResidueTooLargeError(
-            f"rounding residue {residue} exceeds 1% of total mass {max(tp, tq)}"
-        )
-    if residue:
-        lighter = cp if tp < tq else cq
-        lighter[lighter.index(max(lighter))] += residue
-    return GridHistogram(mp, np_, tuple(cp)), GridHistogram(mq, nq, tuple(cq)), scale

@@ -5,7 +5,6 @@ from __future__ import annotations
 import gridemd
 
 PUBLIC_NAMES = [
-    "AllZeroError",
     "BadTokenError",
     "BenchRecord",
     "DimensionMismatchError",
@@ -23,7 +22,6 @@ PUBLIC_NAMES = [
     "PreconditionError",
     "QmwdBreakdown",
     "RaggedRowsError",
-    "ResidueTooLargeError",
     "SweepConfig",
     "SweepSummary",
     "aggregate",
@@ -37,7 +35,6 @@ PUBLIC_NAMES = [
     "manhattan_cost",
     "mwd_exact",
     "mwd_oracle_assignment",
-    "normalize_pair",
     "parse_grid",
     "plan_cost",
     "qmwd",

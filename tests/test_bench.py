@@ -261,6 +261,11 @@ def test_read_records_csv_rejects_bad_input():
             read_records_csv(io.StringIO(
                 header + f"\n2,8,0,1,10,12,11,{err_wd},{err_qmwd},1,1,1,0,\n"
             ))
+    for excluded in ("2", "-1"):
+        with pytest.raises(InputFormatError, match="^line 2: "):
+            read_records_csv(io.StringIO(
+                header + f"\n2,8,0,1,10,12,11,0.2,0.1,1,1,1,{excluded},\n"
+            ))
 
 
 def test_csv_header_only_for_empty_records():

@@ -16,7 +16,6 @@ The dump holds, per entry of the corpus:
   and 20 128x128 pairs of 32 point masses of 100;
 - the same three measures on each small pair before its masses are made
   equal, which mostly raise ``MassMismatchError``;
-- ``normalize_pair`` results on real-valued grids;
 - the type and message of every error on a list of bad inputs;
 - ``gridemd dist``, ``bench`` and ``plot`` stdout, stderr and exit code, with
   bench's time columns dropped, on good and bad files (text that is not
@@ -129,20 +128,13 @@ def _sparse(count: int) -> Iterator[tuple[str, Any]]:
         yield from _measures(f"sparse/{i}", points(), points())
 
 
-def _normalized(count: int) -> Iterator[tuple[str, Any]]:
-    rng = random.Random(7)
-    for i in range(count):
-        m, n = rng.randint(1, 4), rng.randint(1, 4)
-        p = [[round(rng.uniform(0, 5), 3) for _ in range(n)] for _ in range(m)]
-        q = [[round(rng.uniform(0, 5), 3) for _ in range(n)] for _ in range(m)]
-        yield f"normalize/{i}", _outcome(gridemd.normalize_pair, p, q, i % 4)
-
-
 def _errors() -> Iterator[tuple[str, Any]]:
     G = gridemd.GridHistogram
     a, b = G(1, 2, (1, 0)), G(2, 1, (1, 0))
     heavy = G(1, 2, (5, 9))
-    cases: list[tuple[Callable[..., Any], tuple[Any, ...]]] = [
+    # A None slot held a case whose function was removed; it stays so that
+    # every later case keeps its error/N key.
+    cases: list[tuple[Callable[..., Any], tuple[Any, ...]] | None] = [
         (G, (0, 1, ())),
         (G, (1, 2, (1,))),
         (G, (1, 1, (-1,))),
@@ -178,27 +170,12 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.aggregate, ([],)),
         (gridemd.read_records_csv, (io.StringIO(""),)),
         (gridemd.read_records_csv, (io.StringIO("m,n\n1,2\n"),)),
-        (gridemd.normalize_pair, ([[1.0]], [[1.0]], -1)),
-        (gridemd.normalize_pair, ([], [[1.0]])),
-        (gridemd.normalize_pair, ([[0.0]], [[1.0]])),
-        (gridemd.normalize_pair, ([[1.0, -1.0]], [[1.0, 0.0]])),
-        (gridemd.normalize_pair, ([[1.0]], [[1.0, 0.0]])),
-        (gridemd.normalize_pair, ([[1.0]], [[1.2]])),
-        (gridemd.normalize_pair, ([[0.2]], [[0.3]])),
-        (gridemd.normalize_pair, ([[1.0, float("nan")]], [[1.0, 1.0]])),
-        (gridemd.normalize_pair, ([[1.0]], [[float("inf")]])),
-        (gridemd.normalize_pair, ([[1e308]], [[1.0]], 2)),
-        (gridemd.normalize_pair, ([[10**400]], [[1.0]])),
+        *[None] * 11,
         (gridemd.read_records_csv, (io.StringIO(_records_text("nan", "0.1")),)),
         (gridemd.read_records_csv, (io.StringIO(_records_text("0.2", "inf")),)),
-        (gridemd.normalize_pair, ([[float("nan")]], [[1.0]])),
-        (gridemd.normalize_pair, ([[-1.0]], [[1.0]])),
-        (gridemd.normalize_pair, ([[1.0], [2.0, 5.0]], [[1.0], [2.0]])),
-        (gridemd.normalize_pair, ([[1.0], [2.0]], [[1.0], [2.0, 3.0]])),
+        *[None] * 4,
         (G, (1, 1, (True,))),
-        (gridemd.normalize_pair, ([[1.0]], [[1.0]], 1.5)),
-        (gridemd.normalize_pair, ([["1"]], [[1.0]])),
-        (gridemd.normalize_pair, ([[None]], [[1.0]])),
+        *[None] * 3,
         (gridemd.SweepConfig, (8, 2, 8, 20, 9, 42, -5)),
         (gridemd.SweepConfig, (2.0,)),
         (gridemd.SweepConfig, (8, 2, 8, 20, 1.5)),
@@ -211,9 +188,12 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.gen_random_grid, (2, 2, 1, 1.5)),
         (gridemd.gen_random_grid, (2.0, 2, 1, 9)),
         (gridemd.gen_random_grid, (2, 2, 1, "9")),
+        (gridemd.read_records_csv, (io.StringIO(_records_text("0.2", "0.1", "2")),)),
     ]
-    for i, (fn, args) in enumerate(cases):
-        yield f"error/{i}", _outcome(fn, *args)
+    for i, case in enumerate(cases):
+        if case is not None:
+            fn, args = case
+            yield f"error/{i}", _outcome(fn, *args)
 
 
 def _cli(tmp: str) -> Iterator[tuple[str, Any]]:
@@ -337,10 +317,10 @@ def _charts() -> Iterator[tuple[str, Any]]:
         yield f"svg/{name}", _outcome(svg, summaries)
 
 
-def _records_text(err_wd: str, err_qmwd: str) -> str:
-    """A one-record CSV with the given error columns."""
+def _records_text(err_wd: str, err_qmwd: str, excluded: str = "0") -> str:
+    """A one-record CSV with the given error and ``excluded`` columns."""
     header = ",".join(f.name for f in dataclasses.fields(gridemd.BenchRecord))
-    return f"{header}\n2,8,0,1,10,12,11,{err_wd},{err_qmwd},1,1,1,0,\n"
+    return f"{header}\n2,8,0,1,10,12,11,{err_wd},{err_qmwd},1,1,1,{excluded},\n"
 
 
 def _untimed_records(records: Any) -> list[list[Any]]:
@@ -383,8 +363,8 @@ def collect(
     out: dict[str, Any] = {}
     with tempfile.TemporaryDirectory() as tmp:
         sections = (
-            _pairs(pairs), _dense(dense), _sparse(sparse), _normalized(pairs // 6),
-            _errors(), _cli(tmp), _charts(), _sweeps(sweep_trials),
+            _pairs(pairs), _dense(dense), _sparse(sparse), _errors(),
+            _cli(tmp), _charts(), _sweeps(sweep_trials),
         )
         for section in sections:
             for key, value in section:
