@@ -161,10 +161,18 @@ class BenchRecord:
 _RECORDS_CSV_FIELDS = [f.name for f in fields(BenchRecord)]
 
 
-def _finite_float(text: str) -> float:
+def _digits(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"expected ASCII digits, got {text!r}")
+    return int(text)
+
+
+def _error_ratio(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
+    if value < 0:
+        raise ValueError(f"negative error {text!r}")
     return value
 
 
@@ -175,11 +183,11 @@ def _zero_one(text: str) -> bool:
 
 
 def _column_parser(annotation: str) -> Callable[[str], object]:
-    """Cell parser for a BenchRecord field annotated ``int``, ``float``
-    (finite only), ``bool`` (exactly 0 or 1) or ``str``; ``X | None``
-    reads "" as None."""
+    """Cell parser for a BenchRecord field annotated ``int`` (ASCII digits
+    only), ``float`` (an error ratio: finite and >= 0), ``bool`` (exactly 0
+    or 1) or ``str``; ``X | None`` reads "" as None."""
     kind, optional, _ = annotation.partition(" | None")
-    parse = {"int": int, "float": _finite_float, "bool": _zero_one, "str": str}[kind]
+    parse = {"int": _digits, "float": _error_ratio, "bool": _zero_one, "str": str}[kind]
     return (lambda t: None if t == "" else parse(t)) if optional else parse
 
 
@@ -311,9 +319,11 @@ def emit_records_csv(records: Iterable[BenchRecord], dest: TextIO) -> None:
 def read_records_csv(src: TextIO) -> list[BenchRecord]:
     """Parse a records CSV produced by emit_records_csv.
 
-    The header line must match the documented one exactly; rows with the
-    wrong field count, unparsable or non-finite values, or an ``excluded``
-    cell other than 0 or 1 are an InputFormatError.
+    The header line must match the documented one exactly. These rows are
+    an InputFormatError: the wrong field count, an ``int`` cell that is not
+    ASCII digits, an error that is not finite or is negative, an
+    ``excluded`` cell other than 0 or 1, and ``excluded`` 1 with an empty
+    ``fail_reason`` or 0 with a non-empty one.
     """
     reader = csv.reader(src)
     try:
@@ -333,7 +343,13 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
                 f"line {lineno}: expected {len(_RECORDS_CSV_FIELDS)} fields, got {len(row)}"
             )
         try:
-            out.append(BenchRecord(*(parse(v) for parse, v in zip(_RECORDS_CSV_PARSERS, row))))
+            rec = BenchRecord(*(parse(v) for parse, v in zip(_RECORDS_CSV_PARSERS, row)))
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
+        if rec.excluded != (rec.fail_reason != ""):
+            raise InputFormatError(
+                f"line {lineno}: excluded is {int(rec.excluded)} "
+                f"but fail_reason is {rec.fail_reason!r}"
+            )
+        out.append(rec)
     return out

@@ -1,8 +1,9 @@
 """Exact earth mover's distance between equal-mass grids under Manhattan cost.
 
 Mass common to both grids stays where it is at zero cost. After
-``check_pair``, one pass finds the support, the cells where either grid
-holds mass, and every move is built from it: the common mass ``min(p, q)``
+``check_pair``, the support, the cells where either grid holds mass, is
+found by two ``compress`` calls over a shared tuple of cell indices, and
+every move is built from it: the common mass ``min(p, q)``
 as src == dst moves, so the plan's marginals always match the full input
 grids, and the moves the solve ships. Only the difference ``d = p - q``
 enters the solve: surplus cells are where it is positive, deficit cells
@@ -13,7 +14,8 @@ shape alone. With S surplus and D deficit cells among N:
 
 - ``S * D > GRID_ENGINE_RATIO * N`` (dense): ``_solve_grid``, a primal-dual
   min-cost flow on the 4-neighbour grid graph, whose O(N) unit-cost arcs
-  carry the Manhattan cost (EMD-L1, Ling & Okada 2007);
+  carry the Manhattan cost (EMD-L1, Ling & Okada 2007), with Dial's bucket
+  queue (CACM 1969) for its shortest-path searches;
 - otherwise (sparse): ``_solve_transport``, single-source shortest
   augmenting paths on the bipartite surplus x deficit graph, whose S * D
   arcs each cost the Manhattan distance of their ends.
@@ -35,10 +37,9 @@ same distances).
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from itertools import compress
-from operator import or_, sub
+from operator import sub
 from typing import Iterable
 
 from .errors import MassTooLargeError
@@ -55,6 +56,9 @@ ORACLE_MASS_LIMIT = 12
 # ratios of 15; at 12x12 with cells 0..9 (ratio ≈ 24-33) the grid engine is
 # ≈ 2.5x faster.
 GRID_ENGINE_RATIO = 10
+
+# 0, 1, ..., N - 1 for the largest grid seen so far; see ``mwd_exact``.
+_index: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,15 +102,23 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     the time taken and possibly which optimal plan is returned, never the
     distance.
 
-    One pass over the pair finds its support; every move and the bipartite
-    engine's input are built from it, the grid engine alone gets the full
-    ``p - q``, and the distance is ``plan_cost`` of the plan.
+    Two ``compress`` calls over the module's index tuple ``0, 1, ..., N-1``
+    find the pair's support; every move and the bipartite engine's input
+    are built from it, the grid engine alone gets the full ``p - q``, and
+    the distance is ``plan_cost`` of the plan. The tuple is built on the
+    first call and rebuilt only for a larger grid, and it stays alive:
+    about 40 B per cell of the largest grid seen, 0.62 MiB after a 128x128
+    call (tracemalloc).
     """
+    global _index
     check_pair(p, q)
     pc, qc, cols = p.cells, q.cells, p.cols
+    index = _index  # one read, so a concurrent call cannot shorten it
+    if len(index) < len(pc):
+        index = _index = tuple(range(len(pc)))
     # One (row, col) tuple per cell where either grid holds mass, shared by
     # that cell's stay-put move and every move it ships along.
-    cell = {i: divmod(i, cols) for i in compress(range(len(pc)), map(or_, pc, qc))}
+    cell = {i: divmod(i, cols) for i in sorted({*compress(index, pc), *compress(index, qc)})}
     sup = [(i, v) for i in cell if (v := pc[i] - qc[i]) > 0]
     dem = [(i, -v) for i in cell if (v := pc[i] - qc[i]) < 0]
     moves = [Move(c, c, k) for i, c in cell.items() if (k := min(pc[i], qc[i]))]
@@ -291,9 +303,16 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     with node potentials from every cell with surplus left, stops at the
     first deficit cell it settles (at distance D), and adds ``min(dist, D)``
     to each potential, which keeps every reduced cost nonnegative; then
-    depth-first search with current-arc pointers augments along
-    zero-reduced-cost steps, never revisiting a node on its path, until no
-    such path is found. A path is the list of ``adj`` entries of its steps.
+    depth-first search with current-arc pointers augments from each of
+    the round's sources along zero-reduced-cost steps, never revisiting a
+    node on its path, until no such path is found. A path is the list of
+    ``adj`` entries of its steps.
+
+    Reduced distances are small nonnegative ints, so Dijkstra keeps its
+    queue as Dial's buckets (CACM 1969), one list per distance, read in
+    order; an entry whose cell has since got a shorter distance is
+    skipped. The potentials, and so the plan, are those a heap gives,
+    whatever the order of ties.
 
     Every step costs at least 1, so an optimal flow has no cycle and splits
     into source-to-sink paths; a path is never longer than the Manhattan
@@ -307,29 +326,37 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     pot = [0] * n
     inf = float("inf")
 
-    while heap := [(0, u) for u, v in enumerate(exc) if v > 0]:  # sorted, hence a heap
+    while sources := [u for u, v in enumerate(exc) if v > 0]:
         dist: list[int | float] = [inf] * n
-        for _, u in heap:
+        for u in sources:
             dist[u] = 0
-        while heap:
-            du, u = heapq.heappop(heap)
-            if du > dist[u]:
-                continue
-            if exc[u] < 0:
-                break
-            base = du + pot[u]
-            for w, e, sign in adj[u]:
-                alt = base - pot[w] + (-1 if flow[e] * sign < 0 else 1)
-                if alt < dist[w]:
-                    dist[w] = alt
-                    heapq.heappush(heap, (alt, w))
+        # buckets[k] holds the cells whose distance fell to k; zero-cost steps
+        # append to the bucket being read, so the first one is a copy.
+        buckets = [sources.copy()]
+        for du, bucket in enumerate(buckets):
+            for u in bucket:
+                if dist[u] != du:
+                    continue
+                if exc[u] < 0:
+                    break
+                base = du + pot[u]
+                for w, e, sign in adj[u]:
+                    alt = base - pot[w] + (-1 if flow[e] * sign < 0 else 1)
+                    if alt < dist[w]:
+                        dist[w] = alt
+                        while len(buckets) <= alt:
+                            buckets.append([])
+                        buckets[alt].append(w)
+            else:
+                continue  # no deficit at distance du
+            break  # u is the first deficit settled
         else:
             raise AssertionError("balanced flow instance became infeasible")
         pot = [p + (x if x < du else du) for p, x in zip(pot, dist)]
 
         ptr = [0] * n
         on_path = [False] * n
-        for s in range(n):
+        for s in sources:
             while exc[s] > 0:
                 path: list[tuple[int, int, int]] = []
                 on_path[s] = True

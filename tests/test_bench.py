@@ -266,6 +266,26 @@ def test_read_records_csv_rejects_bad_input():
             read_records_csv(io.StringIO(
                 header + f"\n2,8,0,1,10,12,11,0.2,0.1,1,1,1,{excluded},\n"
             ))
+    # Only what emit_records_csv writes: ASCII-digit ints, errors >= 0, and
+    # excluded 1 exactly when fail_reason is set.
+    for row in (
+        " +2,8,0,1,10,12,11,0.2,0.1,1,1,1,0,",
+        "2,8,0,1,1_0,12,11,0.2,0.1,1,1,1,0,",
+        "-3,8,0,1,10,12,11,0.2,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,0.2,0.1,-1,1,1,0,",
+        "2,8,0,1,10,12,11,0.2,0.1,1,1,\u0663,0,",
+        "2,8,0,1,10,12,11,-0.2,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,0.2,-0.1,1,1,1,0,",
+        "2,8,0,1,,12,11,,,,1,1,1,",
+        "2,8,0,1,0,12,11,,,1,1,1,0,zero_mwd",
+    ):
+        with pytest.raises(InputFormatError, match="^line 2: "):
+            read_records_csv(io.StringIO(header + "\n" + row + "\n"))
+    # The excluded forms that emit_records_csv does write still read back.
+    rows = ("2,8,0,1,,12,11,,,,1,1,1,mass_cap", "2,8,1,1,0,12,11,,,1,1,1,1,zero_mwd")
+    assert [(r.excluded, r.fail_reason) for r in read_records_csv(
+        io.StringIO(header + "\n" + "\n".join(rows) + "\n")
+    )] == [(True, "mass_cap"), (True, "zero_mwd")]
 
 
 def test_csv_header_only_for_empty_records():

@@ -187,6 +187,7 @@ def test_plot_bad_csv(tmp_path, capsys):
         b"\xff\xfe1 2\n",  # not UTF-8
         header + b"2,8,0,1,10,12,11,nan,0.1,1,1,1,0,\n",
         header + b"2,8,0,1,10,12,11,0.2,inf,1,1,1,0,\n",
+        header + b"2,8,0,1,10,12,11,0.2,0.1,-1,1,1,0,\n",
     ):
         src.write_bytes(content)
         assert main(["plot", "--in", str(src), "--out", str(tmp_path / "x.svg")]) == 2

@@ -327,6 +327,42 @@ def test_engines_agree_on_uneven_point_masses():
             assert plan_is_optimal(p, q, plan)
 
 
+def test_engines_agree_on_dense_pairs():
+    # Sizes where the Bellman-Ford certificate is too slow for dense pairs:
+    # the grid engine's bucket-queue searches are checked against the
+    # bipartite engine instead.
+    rng = random.Random(711)
+    for side in (16, 20, 24):
+        for _ in range(2):
+            p, q = _uniform_pair(rng, side, side, 9)
+            plans = _engine_plans(p, q)
+            distance = plan_cost(plans["bipartite"])
+            assert distance == plan_cost(plans["grid"]) == mwd_exact(p, q).distance
+            for plan in plans.values():
+                assert plan_marginals(plan, p.rows, p.cols) == (p.cells, q.cells)
+
+
+def test_support_index_is_shared_across_grid_sizes(monkeypatch):
+    # mwd_exact keeps one index tuple for the largest grid seen; a smaller
+    # grid after a larger one reads only the tuple's first cells.
+    monkeypatch.setattr(mwd_module, "_index", ())
+    far = [0] * (128 * 128)
+    far[-1] = 3
+    near = [3] + [0] * (128 * 128 - 1)
+    pairs = [
+        (GridHistogram(1, 1, (0,)), GridHistogram(1, 1, (0,))),
+        (GridHistogram(2, 3, (1, 0, 2, 0, 0, 1)), GridHistogram(2, 3, (0, 1, 0, 2, 1, 0))),
+        (GridHistogram(128, 128, tuple(far)), GridHistogram(128, 128, tuple(near))),
+        (GridHistogram(4, 4, (3,) + (0,) * 14 + (1,)), GridHistogram(4, 4, (1,) + (0,) * 14 + (3,))),
+    ]
+    for (p, q), index_len in zip(pairs, (1, 6, 128 * 128, 128 * 128)):
+        res = mwd_exact(p, q)
+        assert len(mwd_module._index) == index_len
+        assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
+        want = 3 * 254 if p.rows == 128 else mwd_oracle_assignment(p, q)
+        assert res.distance == plan_cost(res.plan) == want
+
+
 def _certificate_cases():
     """Seeded pairs for the optimality certificate: 300 up to 8x8 (cells
     0/1/3/9), 20 dense 12x12 pairs above the oracle's mass limit (grid

@@ -189,6 +189,18 @@ def _errors() -> Iterator[tuple[str, Any]]:
         (gridemd.gen_random_grid, (2.0, 2, 1, 9)),
         (gridemd.gen_random_grid, (2, 2, 1, "9")),
         (gridemd.read_records_csv, (io.StringIO(_records_text("0.2", "0.1", "2")),)),
+        *[
+            (gridemd.read_records_csv, (io.StringIO(_record_csv(row)),))
+            for row in (
+                " +2,8,0,1,10,12,11,0.2,0.1,1,1,1,0,",
+                "2,8,0,1,1_0,12,11,0.2,0.1,1,1,1,0,",
+                "-3,8,0,1,10,12,11,0.2,0.1,1,1,1,0,",
+                "2,8,0,1,10,12,11,-0.2,0.1,1,1,1,0,",
+                "2,8,0,1,10,12,11,0.2,-0.1,1,1,1,0,",
+                "2,8,0,1,,12,11,,,,1,1,1,",
+                "2,8,0,1,0,12,11,,,1,1,1,0,zero_mwd",
+            )
+        ],
     ]
     for i, case in enumerate(cases):
         if case is not None:
@@ -319,8 +331,13 @@ def _charts() -> Iterator[tuple[str, Any]]:
 
 def _records_text(err_wd: str, err_qmwd: str, excluded: str = "0") -> str:
     """A one-record CSV with the given error and ``excluded`` columns."""
+    return _record_csv(f"2,8,0,1,10,12,11,{err_wd},{err_qmwd},1,1,1,{excluded},")
+
+
+def _record_csv(row: str) -> str:
+    """A one-record CSV holding ``row`` under the documented header."""
     header = ",".join(f.name for f in dataclasses.fields(gridemd.BenchRecord))
-    return f"{header}\n2,8,0,1,10,12,11,{err_wd},{err_qmwd},1,1,1,{excluded},\n"
+    return f"{header}\n{row}\n"
 
 
 def _untimed_records(records: Any) -> list[list[Any]]:
