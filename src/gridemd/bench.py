@@ -193,6 +193,10 @@ def _column_parser(annotation: str) -> Callable[[str], object]:
 
 _RECORDS_CSV_PARSERS = [_column_parser(f.type) for f in fields(BenchRecord)]
 
+# fail_reason -> (mwd and time_mwd_ns are set, both error ratios are set),
+# as ``_run_trial`` leaves them.
+_FAIL_REASONS = {"": (True, True), "zero_mwd": (True, False), "mass_cap": (False, False)}
+
 
 @dataclass(frozen=True)
 class SweepSummary:
@@ -322,8 +326,12 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
     The header line must match the documented one exactly. These rows are
     an InputFormatError: the wrong field count, an ``int`` cell that is not
     ASCII digits, an error that is not finite or is negative, an
-    ``excluded`` cell other than 0 or 1, and ``excluded`` 1 with an empty
-    ``fail_reason`` or 0 with a non-empty one.
+    ``excluded`` cell other than 0 or 1, a ``fail_reason`` other than "",
+    "mass_cap" or "zero_mwd", ``excluded`` 1 with an empty ``fail_reason``
+    or 0 with a non-empty one, and cells that disagree with ``fail_reason``:
+    ``mwd`` and ``time_mwd_ns`` are empty exactly on "mass_cap" rows, both
+    errors are set exactly on used rows, and ``mwd`` is 0 exactly on
+    "zero_mwd" rows.
     """
     reader = csv.reader(src)
     try:
@@ -346,10 +354,25 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
             rec = BenchRecord(*(parse(v) for parse, v in zip(_RECORDS_CSV_PARSERS, row)))
         except ValueError as exc:
             raise InputFormatError(f"line {lineno}: {exc}") from None
-        if rec.excluded != (rec.fail_reason != ""):
+        reason = rec.fail_reason
+        if reason not in _FAIL_REASONS:
+            raise InputFormatError(f"line {lineno}: unknown fail_reason {reason!r}")
+        if rec.excluded != (reason != ""):
             raise InputFormatError(
-                f"line {lineno}: excluded is {int(rec.excluded)} "
-                f"but fail_reason is {rec.fail_reason!r}"
+                f"line {lineno}: excluded is {int(rec.excluded)} but fail_reason is {reason!r}"
+            )
+        exact, errors = _FAIL_REASONS[reason]
+        for name, want in (
+            ("mwd", exact), ("time_mwd_ns", exact), ("err_wd", errors), ("err_qmwd", errors)
+        ):
+            if (getattr(rec, name) is not None) != want:
+                raise InputFormatError(
+                    f"line {lineno}: {name} is {'empty' if want else 'set'} "
+                    f"but fail_reason is {reason!r}"
+                )
+        if (rec.mwd == 0) != (reason == "zero_mwd"):
+            raise InputFormatError(
+                f"line {lineno}: mwd is {rec.mwd} but fail_reason is {reason!r}"
             )
         out.append(rec)
     return out

@@ -14,8 +14,9 @@ shape alone. With S surplus and D deficit cells among N:
 
 - ``S * D > GRID_ENGINE_RATIO * N`` (dense): ``_solve_grid``, a primal-dual
   min-cost flow on the 4-neighbour grid graph, whose O(N) unit-cost arcs
-  carry the Manhattan cost (EMD-L1, Ling & Okada 2007), with Dial's bucket
-  queue (CACM 1969) for its shortest-path searches;
+  carry the Manhattan cost (EMD-L1, Ling & Okada 2007). Each round's
+  Dijkstra, on Dial's bucket queue (CACM 1969), grows a shortest-path
+  forest from the cells with surplus left, and flow is pushed along it;
 - otherwise (sparse): ``_solve_transport``, single-source shortest
   augmenting paths on the bipartite surplus x deficit graph, whose S * D
   arcs each cost the Manhattan distance of their ends.
@@ -27,12 +28,10 @@ Integer supplies make both problems' optima integral, so the distance and
 every plan amount are exact ints. Both engines give the same distance; when
 several plans are optimal they may return different ones.
 
-Both engines stay because neither is fast on the other's inputs. On 128x128
-grids of 32 point masses the grid engine is ≈ 700-1000x slower; running its
-primal-dual code on the bipartite graph took 7.0-8.5 ms per such solve,
-against 3.4-4.4 ms for the multi-source heap successive-shortest-path solve
-that the single-source one replaced, which takes 0.6-0.9 ms (2-vCPU host,
-same distances).
+Both engines stay because neither is fast on the other's inputs: on 128x128
+grids of 32 point masses of 100 the grid engine takes 130-170 ms and the
+bipartite one 0.6-1.0 ms, while on 12x12 grids with cells 0..9 the grid
+engine is 3-8x faster (2-vCPU host, same distances).
 """
 
 from __future__ import annotations
@@ -49,13 +48,14 @@ Cell = tuple[int, int]
 
 ORACLE_MASS_LIMIT = 12
 # The grid engine runs when surplus cells x deficit cells exceeds this many
-# times the cell count. Measured crossovers (both engines on the same pairs):
-# ≈ 11 on small uniform grids (8x8 to 16x16, cells 0..1 to 0..3; below a
-# ratio of 10 the bipartite engine is faster on most pairs), while on 24x24
-# to 64x64 grids of point masses the bipartite engine stays 2-4x faster up to
-# ratios of 15; at 12x12 with cells 0..9 (ratio ≈ 24-33) the grid engine is
-# ≈ 2.5x faster.
-GRID_ENGINE_RATIO = 10
+# times the cell count. Measured crossovers (both engines on the same pairs,
+# best of 3 each, medians by ratio): on uniform 8x8 to 20x20 grids with cells
+# 0..1 to 0..3 the grid engine is 1.1x faster at ratios 4-6, 1.3x at 6-8 and
+# 1.7x at 8-10; on 24x24 to 64x64 grids of uneven point masses the bipartite
+# engine is 1.9x faster at 2-4, the two are even at 4-6, and the grid engine
+# is 1.2x faster at 6-10; at 12x12 with cells 0..9 (ratio ≈ 28-31) the grid
+# engine is 3-8x faster.
+GRID_ENGINE_RATIO = 6
 
 # 0, 1, ..., N - 1 for the largest grid seen so far; see ``mwd_exact``.
 _index: tuple[int, ...] = ()
@@ -276,9 +276,10 @@ def _grid_arcs(rows: int, cols: int) -> list[list[tuple[int, int, int]]]:
     """Neighbours ``(cell, edge, sign)`` of every cell of the 4-neighbour
     grid graph.
 
-    Edge e joins a cell to its right or lower neighbour. ``sign`` is +1 when
-    the step runs from the edge's lower flat index to its higher one and -1
-    the other way, so ``sign * flow[e]`` is the flow along the step.
+    Edge e joins a cell to its right neighbour when e < rows * cols - rows,
+    else to its lower one. ``sign`` is +1 when the step runs from the edge's
+    lower flat index to its higher one and -1 the other way, so ``sign *
+    flow[e]`` is the flow along the step.
     """
     n = rows * cols
     edges = [(u, u + 1) for u in range(n) if (u + 1) % cols]
@@ -299,20 +300,31 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     flow's cost is its Manhattan work. ``flow[e]`` is the signed net flow
     on edge e, positive from its lower flat index to its higher one. A step
     against that flow costs -1, since it cancels flow, and may push at most
-    the flow it cancels; any other step costs 1. Each round runs Dijkstra
-    with node potentials from every cell with surplus left, stops at the
-    first deficit cell it settles (at distance D), and adds ``min(dist, D)``
-    to each potential, which keeps every reduced cost nonnegative; then
-    depth-first search with current-arc pointers augments from each of
-    the round's sources along zero-reduced-cost steps, never revisiting a
-    node on its path, until no such path is found. A path is the list of
-    ``adj`` entries of its steps.
+    the flow it cancels; any other step costs 1.
+
+    Each round runs Dijkstra with node potentials from every cell with
+    surplus left, and ``via`` records, for each cell, the ``adj`` entry of
+    the step that last lowered its distance, so the settled cells form a
+    shortest-path forest rooted at those sources. A settled deficit cell is
+    expanded like any other; the search stops at the one that brings the
+    settled deficits up to the surplus left, at distance D. Adding
+    ``min(dist, D)`` to each potential keeps every reduced cost nonnegative
+    and makes every step of the forest tight (reduced cost 0).
+
+    Then each settled deficit, in the order settled, walks ``via`` back to
+    its root and pushes ``min(root surplus, its deficit, each flow the path
+    cancels)`` along the path. A push along tight steps leaves every reduced
+    cost nonnegative, but it can use up a cancel step that a later path of
+    the same forest shares; that step then costs 1 and is no longer tight.
+    So the walk re-checks each step against the current ``flow``, and a
+    sink whose path is no longer tight, or whose root has no surplus left,
+    waits for the next round. The first sink walks back before anything is
+    pushed, so every round moves at least one unit and the rounds end.
 
     Reduced distances are small nonnegative ints, so Dijkstra keeps its
     queue as Dial's buckets (CACM 1969), one list per distance, read in
-    order; an entry whose cell has since got a shorter distance is
-    skipped. The potentials, and so the plan, are those a heap gives,
-    whatever the order of ties.
+    order; an entry whose cell has since got a shorter distance is skipped.
+    D and the potentials do not depend on the order of ties; the plan may.
 
     Every step costs at least 1, so an optimal flow has no cycle and splits
     into source-to-sink paths; a path is never longer than the Manhattan
@@ -327,9 +339,12 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     inf = float("inf")
 
     while sources := [u for u, v in enumerate(exc) if v > 0]:
+        left = sum(exc[u] for u in sources)
         dist: list[int | float] = [inf] * n
         for u in sources:
             dist[u] = 0
+        via: list[tuple[int, int, int] | None] = [None] * n
+        sinks = []
         # buckets[k] holds the cells whose distance fell to k; zero-cost steps
         # append to the bucket being read, so the first one is a copy.
         buckets = [sources.copy()]
@@ -338,60 +353,45 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
                 if dist[u] != du:
                     continue
                 if exc[u] < 0:
-                    break
+                    sinks.append(u)
+                    left += exc[u]
+                    if left <= 0:
+                        break
                 base = du + pot[u]
-                for w, e, sign in adj[u]:
+                for step in adj[u]:
+                    w, e, sign = step
+                    if dist[w] <= du:
+                        continue  # reduced costs are >= 0, so alt >= du
                     alt = base - pot[w] + (-1 if flow[e] * sign < 0 else 1)
                     if alt < dist[w]:
                         dist[w] = alt
+                        via[w] = step
                         while len(buckets) <= alt:
                             buckets.append([])
                         buckets[alt].append(w)
             else:
-                continue  # no deficit at distance du
-            break  # u is the first deficit settled
+                continue  # the deficits settled so far cannot take every surplus
+            break  # they can: du is the stop distance
         else:
             raise AssertionError("balanced flow instance became infeasible")
         pot = [p + (x if x < du else du) for p, x in zip(pot, dist)]
 
-        ptr = [0] * n
-        on_path = [False] * n
-        for s in sources:
-            while exc[s] > 0:
-                path: list[tuple[int, int, int]] = []
-                on_path[s] = True
-                u = s
-                while exc[u] >= 0:
-                    out, pu = adj[u], pot[u]
-                    for i in range(ptr[u], len(out)):
-                        w, e, sign = out[i]
-                        if pot[w] == pu + (-1 if flow[e] * sign < 0 else 1) and not on_path[w]:
-                            ptr[u] = i
-                            on_path[w] = True
-                            path.append(out[i])
-                            u = w
-                            break
-                    else:
-                        ptr[u] = len(out)
-                        on_path[u] = False
-                        if not path:
-                            break
-                        path.pop()
-                        u = path[-1][0] if path else s
-                        ptr[u] += 1
-                if not path:
-                    break
-                delta = min(exc[s], -exc[u])
+        for t in sinks:
+            path, w = [], t
+            while step := via[w]:
+                _, e, sign = step
+                u = w - sign * (1 if e < n - rows else cols)  # the step's tail
+                if pot[w] != pot[u] + (-1 if flow[e] * sign < 0 else 1):
+                    break  # an earlier push this round used up this cancel step
+                path.append(step)
+                w = u
+            else:
+                cancelled = (b for _, e, sign in path if (b := -sign * flow[e]) > 0)
+                delta = min(exc[w], -exc[t], *cancelled)  # 0 once the root w has no surplus left
                 for _, e, sign in path:
-                    back = -sign * flow[e]
-                    if 0 < back < delta:
-                        delta = back
-                on_path[s] = False
-                for w, e, sign in path:
                     flow[e] += sign * delta
-                    on_path[w] = False
-                exc[s] -= delta
-                exc[u] += delta
+                exc[w] -= delta
+                exc[t] += delta
 
     shipped: dict[tuple[int, int], int] = {}
     rest = list(d)

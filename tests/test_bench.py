@@ -278,6 +278,20 @@ def test_read_records_csv_rejects_bad_input():
         "2,8,0,1,10,12,11,0.2,-0.1,1,1,1,0,",
         "2,8,0,1,,12,11,,,,1,1,1,",
         "2,8,0,1,0,12,11,,,1,1,1,0,zero_mwd",
+        # Cells that disagree with fail_reason: an unknown reason, a used row
+        # without errors or mwd, a zero_mwd row with mwd or errors, and a
+        # mass_cap row with mwd, time_mwd_ns or an error.
+        "2,8,0,1,10,12,11,0.2,0.1,1,1,1,1,foo",
+        "2,8,0,1,10,12,11,,,1,1,1,0,",
+        "2,8,0,1,10,12,11,0.2,,1,1,1,0,",
+        "2,8,0,1,,12,11,0.2,0.1,,1,1,0,",
+        "2,8,0,1,0,12,11,0.2,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,0.2,0.1,1,1,1,1,zero_mwd",
+        "2,8,0,1,10,12,11,,,1,1,1,1,zero_mwd",
+        "2,8,0,1,0,12,11,0.2,,1,1,1,1,zero_mwd",
+        "2,8,0,1,10,12,11,,,,1,1,1,mass_cap",
+        "2,8,0,1,,12,11,,,1,1,1,1,mass_cap",
+        "2,8,0,1,,12,11,,0.1,,1,1,1,mass_cap",
     ):
         with pytest.raises(InputFormatError, match="^line 2: "):
             read_records_csv(io.StringIO(header + "\n" + row + "\n"))

@@ -342,6 +342,45 @@ def test_engines_agree_on_dense_pairs():
                 assert plan_marginals(plan, p.rows, p.cols) == (p.cells, q.cells)
 
 
+def test_grid_engine_on_thin_and_binary_grids():
+    # 1xn and nx1 grids give each cell at most two neighbours, so every
+    # shortest-path forest is a set of line segments; binary cells make many
+    # deficits tie at each distance.
+    rng = random.Random(712)
+    cases = []
+    for _ in range(30):
+        n = rng.randrange(2, 41)
+        cell_max = rng.choice((1, 3, 9))
+        cases.append(_uniform_pair(rng, 1, n, cell_max))
+        cases.append(_uniform_pair(rng, n, 1, cell_max))
+    cases += [_uniform_pair(rng, 16, 16, 1) for _ in range(4)]
+    for p, q in cases:
+        plans = _engine_plans(p, q)
+        distance = plan_cost(plans["bipartite"])
+        assert plan_cost(plans["grid"]) == distance
+        for plan in plans.values():
+            assert all(mv.amount > 0 for mv in plan)
+            assert len({(mv.src, mv.dst) for mv in plan}) == len(plan)
+            assert plan_marginals(plan, p.rows, p.cols) == (p.cells, q.cells)
+
+
+def test_grid_engine_skips_a_sink_whose_path_lost_its_cancel_step():
+    # A 4x2 grid: row r holds cells 2r and 2r + 1. The first round ships
+    # 4 -> 6 and 5 -> 3. In the second, both open sinks, 0 and 3, are
+    # reached from 7 through 7 -> 6 -> 4, which cancels the unit on 4 -> 6.
+    # The push to 0 uses that unit up, so 6 -> 4 costs 1 again and the path
+    # to 3 is no longer tight; pushing along it anyway would cost 2 more.
+    # 3 waits for the third round, which reaches it along 7 -> 5 -> 3.
+    p = GridHistogram(4, 2, (0, 1, 0, 1, 1, 2, 0, 2))
+    q = GridHistogram(4, 2, (1, 1, 0, 3, 0, 1, 1, 0))
+    shipped = mwd_module._solve_grid(tuple(map(sub, p.cells, q.cells)), 4, 2)
+    assert shipped == {(4, 0): 1, (5, 3): 1, (7, 6): 1, (7, 3): 1}
+    plan = _engine_plans(p, q)["grid"]
+    assert plan_cost(plan) == mwd_oracle_assignment(p, q) == mwd_exact(p, q).distance == 6
+    assert plan_marginals(plan, 4, 2) == (p.cells, q.cells)
+    assert plan_is_optimal(p, q, plan)
+
+
 def test_support_index_is_shared_across_grid_sizes(monkeypatch):
     # mwd_exact keeps one index tuple for the largest grid seen; a smaller
     # grid after a larger one reads only the tuple's first cells.

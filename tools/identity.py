@@ -199,6 +199,13 @@ def _errors() -> Iterator[tuple[str, Any]]:
                 "2,8,0,1,10,12,11,0.2,-0.1,1,1,1,0,",
                 "2,8,0,1,,12,11,,,,1,1,1,",
                 "2,8,0,1,0,12,11,,,1,1,1,0,zero_mwd",
+                "2,8,0,1,10,12,11,0.2,0.1,1,1,1,1,foo",
+                "2,8,0,1,10,12,11,,,1,1,1,0,",
+                "2,8,0,1,,12,11,0.2,0.1,,1,1,0,",
+                "2,8,0,1,10,12,11,0.2,0.1,1,1,1,1,zero_mwd",
+                "2,8,0,1,10,12,11,,,,1,1,1,mass_cap",
+                "2,8,0,1,,12,11,,,1,1,1,1,mass_cap",
+                "2,8,0,1,,12,11,0.2,0.1,,1,1,1,mass_cap",
             )
         ],
     ]
