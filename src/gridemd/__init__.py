@@ -36,7 +36,6 @@ from .errors import (
     InputFormatError,
     LengthMismatchError,
     MassMismatchError,
-    MassTooLargeError,
     NegativeEntryError,
     PreconditionError,
     RaggedRowsError,
@@ -54,11 +53,10 @@ from .mwd import (
     MwdResult,
     manhattan_cost,
     mwd_exact,
-    mwd_oracle_assignment,
     plan_cost,
 )
 from .qmwd import QmwdBreakdown, directional_estimate, qmwd
-from .wd1d import wd_1d, wd_1d_oracle
+from .wd1d import wd_1d
 
 __version__ = "0.1.0"
 
@@ -73,7 +71,6 @@ __all__ = [
     "InputFormatError",
     "LengthMismatchError",
     "MassMismatchError",
-    "MassTooLargeError",
     "Move",
     "MwdResult",
     "NegativeEntryError",
@@ -92,7 +89,6 @@ __all__ = [
     "gen_random_grid",
     "manhattan_cost",
     "mwd_exact",
-    "mwd_oracle_assignment",
     "parse_grid",
     "plan_cost",
     "qmwd",
@@ -102,5 +98,4 @@ __all__ = [
     "total_mass",
     "transpose",
     "wd_1d",
-    "wd_1d_oracle",
 ]

@@ -157,8 +157,9 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     settings = {f.name: getattr(args, f.name) for f in fields(SweepConfig)}
     if settings["mwd_mass_cap"] < 0:  # the flag's way to say "no cap"
         settings["mwd_mass_cap"] = None
-    records = run_sweep(SweepConfig(**settings))
+    cfg = SweepConfig(**settings)  # bad settings exit 3 before --out is touched
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
+        records = run_sweep(cfg)
         emit_records_csv(records, fh)
     print(f"wrote {len(records)} records to {args.out}", file=sys.stderr)
 

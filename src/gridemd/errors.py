@@ -2,8 +2,8 @@
 
 Two families matter to callers: ``InputFormatError`` for malformed textual
 input (grid files, records CSV) and ``PreconditionError`` for violated
-numerical preconditions (mismatched shapes, unequal masses, oversized
-oracle instances). Both subclass ``ValueError`` so generic handlers work.
+numerical preconditions (mismatched shapes, unequal masses, negative or
+non-integer entries). Both subclass ``ValueError`` so generic handlers work.
 """
 
 
@@ -41,10 +41,6 @@ class LengthMismatchError(PreconditionError):
 
 class MassMismatchError(PreconditionError):
     """The two inputs do not carry the same total mass."""
-
-
-class MassTooLargeError(PreconditionError):
-    """Instance exceeds the feasibility bound of a brute-force oracle."""
 
 
 class NegativeEntryError(PreconditionError):

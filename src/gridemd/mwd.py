@@ -41,12 +41,13 @@ from itertools import compress
 from operator import sub
 from typing import Iterable
 
-from .errors import MassTooLargeError
-from .grid import GridHistogram, check_pair, total_mass
+from .grid import GridHistogram, check_pair
+
+# Not called here; perfbench/tracing.py rebinds this name on this module.
+from .grid import total_mass  # noqa: F401
 
 Cell = tuple[int, int]
 
-ORACLE_MASS_LIMIT = 12
 # The grid engine runs when surplus cells x deficit cells exceeds this many
 # times the cell count. Measured crossovers (both engines on the same pairs,
 # best of 3 each, medians by ratio): on uniform 8x8 to 20x20 grids with cells
@@ -131,42 +132,6 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     moves += [Move(cell[s], cell[t], amt) for (s, t), amt in shipped.items()]
     moves.sort(key=lambda mv: (mv.src, mv.dst))
     return MwdResult(plan_cost(moves), tuple(moves))
-
-
-def mwd_oracle_assignment(p: GridHistogram, q: GridHistogram) -> int:
-    """Brute-force reference distance via unit expansion plus exact
-    assignment search (bitmask dynamic program over destination subsets).
-
-    Feasible only up to total mass ORACLE_MASS_LIMIT.
-    """
-    check_pair(p, q)
-    mass = total_mass(p)
-    if mass > ORACLE_MASS_LIMIT:
-        raise MassTooLargeError(f"oracle limited to mass {ORACLE_MASS_LIMIT}, got {mass}")
-    cols = p.cols
-    srcs: list[Cell] = []
-    for idx, v in enumerate(p.cells):
-        srcs.extend([divmod(idx, cols)] * v)
-    dsts: list[Cell] = []
-    for idx, v in enumerate(q.cells):
-        dsts.extend([divmod(idx, cols)] * v)
-    n = mass
-    cost = [[manhattan_cost(s, d) for d in dsts] for s in srcs]
-    full = (1 << n) - 1
-    inf = float("inf")
-    dp: list[int | float] = [inf] * (full + 1)
-    dp[0] = 0
-    for mask in range(full):
-        cur = dp[mask]
-        row = cost[mask.bit_count()]  # units assigned in fixed source order
-        for j in range(n):
-            bit = 1 << j
-            if not mask & bit:
-                alt = cur + row[j]
-                nm = mask | bit
-                if alt < dp[nm]:
-                    dp[nm] = alt
-    return int(dp[full])
 
 
 def _solve_transport(

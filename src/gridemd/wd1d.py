@@ -8,9 +8,7 @@ optimal-transport cost has the closed form
 where each term is a prefix sum of the difference ``a - b``, so one pass
 over that difference computes it with exact integer arithmetic. For an
 equal-mass pair the final prefix sum is 0, so the sum may run over every
-index. A brute-force oracle (unit expansion plus sorted pairing,
-optimal for convex 1D costs) is provided for cross-checking on small
-instances.
+index.
 """
 
 from __future__ import annotations
@@ -22,15 +20,18 @@ from typing import Iterable, Sequence
 from .errors import (
     LengthMismatchError,
     MassMismatchError,
-    MassTooLargeError,
     NegativeEntryError,
     PreconditionError,
 )
 
-ORACLE_MASS_LIMIT = 64
 
+def wd_1d(a: Sequence[int], b: Sequence[int]) -> int:
+    """Exact 1D Wasserstein distance (unit ground cost between neighbors).
 
-def _check_pair(a: Sequence[int], b: Sequence[int]) -> int:
+    Total work in index-steps times mass units; always a nonnegative int,
+    at most total_mass * (len - 1). Entries must be ints; ``True`` and
+    ``False`` count as 1 and 0.
+    """
     if len(a) != len(b):
         raise LengthMismatchError(f"vector lengths differ: {len(a)} vs {len(b)}")
     try:
@@ -48,16 +49,6 @@ def _check_pair(a: Sequence[int], b: Sequence[int]) -> int:
                 raise PreconditionError(f"entries must be ints, got {v!r}")
     if ta != tb:
         raise MassMismatchError(f"total masses differ: {ta} vs {tb}")
-    return ta
-
-
-def wd_1d(a: Sequence[int], b: Sequence[int]) -> int:
-    """Exact 1D Wasserstein distance (unit ground cost between neighbors).
-
-    Total work in index-steps times mass units; always a nonnegative int,
-    at most total_mass * (len - 1).
-    """
-    _check_pair(a, b)
     return prefix_work(map(sub, a, b))
 
 
@@ -69,17 +60,3 @@ def prefix_work(d: Iterable[int]) -> int:
     equal-mass vectors does; otherwise the result is meaningless.
     """
     return sum(map(abs, accumulate(d)))
-
-
-def wd_1d_oracle(a: Sequence[int], b: Sequence[int]) -> int:
-    """Brute-force reference: expand masses to unit points, pair in sorted
-    order, sum the absolute position differences.
-
-    Feasible only up to total mass ORACLE_MASS_LIMIT.
-    """
-    mass = _check_pair(a, b)
-    if mass > ORACLE_MASS_LIMIT:
-        raise MassTooLargeError(f"oracle limited to mass {ORACLE_MASS_LIMIT}, got {mass}")
-    pos_a = [i for i, v in enumerate(a) for _ in range(v)]
-    pos_b = [i for i, v in enumerate(b) for _ in range(v)]
-    return sum(abs(x - y) for x, y in zip(pos_a, pos_b))

@@ -18,7 +18,6 @@ from gridemd import (
     gen_random_grid,
     manhattan_cost,
     mwd_exact,
-    mwd_oracle_assignment,
     qmwd,
     read_records_csv,
     rotate90,
@@ -26,9 +25,9 @@ from gridemd import (
     total_mass,
     transpose,
     wd_1d,
-    wd_1d_oracle,
 )
 from gridemd.cli import main
+from tests._reference import assignment_distance, sorted_units_distance
 from tests._util import plan_marginals, random_mass_vector, random_pair
 
 
@@ -52,7 +51,7 @@ def test_criterion_1_exact_distance_matches_assignment_oracle():
         n = rng.randrange(1, 5)
         mass = rng.randrange(0, 13)
         p, q = random_pair(rng, m, n, mass)
-        assert mwd_exact(p, q).distance == mwd_oracle_assignment(p, q)
+        assert mwd_exact(p, q).distance == assignment_distance(p, q)
         checked += 1
     elapsed = time.perf_counter() - t0
     assert checked == 200
@@ -68,7 +67,7 @@ def test_criterion_2_one_dimensional_distance_matches_oracle():
         mass = rng.randrange(0, 65)
         a = random_mass_vector(rng, length, mass)
         b = random_mass_vector(rng, length, mass)
-        assert wd_1d(a, b) == wd_1d_oracle(a, b)
+        assert wd_1d(a, b) == sorted_units_distance(a, b)
     print("criterion 2: 1000/1000 oracle matches")
 
 
@@ -77,27 +76,19 @@ def test_criterion_3_worked_breakdown_values():
     p = GridHistogram.from_rows([[1, 0], [0, 0]])
     q = GridHistogram.from_rows([[0, 0], [0, 1]])
     b = qmwd(p, q)
-    assert b.wd_row == wd_1d_oracle(p.cells, q.cells) == 3
-    assert (
-        b.wd_rot
-        == wd_1d_oracle(rotate90(p).cells, rotate90(q).cells)
-        == 1
-    )
-    assert (
-        b.wd_transp
-        == wd_1d_oracle(transpose(p).cells, transpose(q).cells)
-        == 3
-    )
+    assert b.wd_row == sorted_units_distance(p.cells, q.cells) == 3
+    assert b.wd_rot == sorted_units_distance(rotate90(p).cells, rotate90(q).cells) == 1
+    assert b.wd_transp == sorted_units_distance(transpose(p).cells, transpose(q).cells) == 3
     assert (b.est_row, b.est_rot, b.est_transp) == (2, 1, 2)
     assert b.qmwd == 2
-    assert mwd_exact(p, q).distance == mwd_oracle_assignment(p, q) == 2
+    assert mwd_exact(p, q).distance == assignment_distance(p, q) == 2
 
     p2 = GridHistogram.from_rows([[1, 0]])
     q2 = GridHistogram.from_rows([[0, 1]])
     b2 = qmwd(p2, q2)
     assert (b2.wd_row, b2.wd_rot, b2.wd_transp) == (1, 1, 1)
     assert b2.qmwd == 1
-    assert mwd_exact(p2, q2).distance == mwd_oracle_assignment(p2, q2) == 1
+    assert mwd_exact(p2, q2).distance == assignment_distance(p2, q2) == 1
     print("criterion 3: both worked breakdowns match, oracle-derived")
 
 

@@ -15,7 +15,6 @@ PUBLIC_NAMES = [
     "InputFormatError",
     "LengthMismatchError",
     "MassMismatchError",
-    "MassTooLargeError",
     "Move",
     "MwdResult",
     "NegativeEntryError",
@@ -34,7 +33,6 @@ PUBLIC_NAMES = [
     "gen_random_grid",
     "manhattan_cost",
     "mwd_exact",
-    "mwd_oracle_assignment",
     "parse_grid",
     "plan_cost",
     "qmwd",
@@ -44,7 +42,6 @@ PUBLIC_NAMES = [
     "total_mass",
     "transpose",
     "wd_1d",
-    "wd_1d_oracle",
 ]
 
 

@@ -140,6 +140,7 @@ def test_bench_rejects_bad_flags(tmp_path, capsys):
     out = tmp_path / "records.csv"
     code = main(["bench", "--m-min", "5", "--m-max", "2", "--out", str(out)])
     assert code == 3
+    assert not out.exists()
     capsys.readouterr()
 
 
@@ -168,6 +169,19 @@ def test_plot_pipeline(tmp_path, capsys):
     assert text.startswith("<svg")
     assert text.count("<polyline") == 5
     capsys.readouterr()
+
+
+def test_bench_unwritable_out_fails_before_the_sweep(tmp_path, monkeypatch, capsys):
+    def no_sweep(cfg):
+        raise AssertionError("run_sweep called before --out was opened")
+
+    monkeypatch.setattr("gridemd.cli.run_sweep", no_sweep)
+    out = tmp_path / "nodir" / "x.csv"
+    assert main(["bench", "--n", "24", "--m-max", "24", "--mwd-mass-cap", "-1",
+                 "--out", str(out)]) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.parent.exists()
 
 
 def test_plot_missing_input(tmp_path, capsys):

@@ -13,19 +13,17 @@ from gridemd import (
     DimensionMismatchError,
     GridHistogram,
     MassMismatchError,
-    MassTooLargeError,
     Move,
     equalize_mass,
     gen_random_grid,
     manhattan_cost,
     mwd_exact,
-    mwd_oracle_assignment,
     plan_cost,
     rotate90,
     transpose,
     wd_1d,
 )
-from tests._reference import plan_is_optimal
+from tests._reference import assignment_distance, plan_is_optimal
 from tests._util import plan_marginals, random_grid, random_pair
 
 
@@ -63,10 +61,8 @@ def test_errors():
         mwd_exact(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 0)))
     with pytest.raises(MassMismatchError):
         mwd_exact(GridHistogram(1, 2, (1, 0)), GridHistogram(1, 2, (1, 1)))
-    with pytest.raises(MassTooLargeError):
-        mwd_oracle_assignment(
-            GridHistogram(1, 2, (13, 0)), GridHistogram(1, 2, (0, 13))
-        )
+    with pytest.raises(ValueError, match=r"^reference limited to mass 12, got 13$"):
+        assignment_distance(GridHistogram(1, 2, (13, 0)), GridHistogram(1, 2, (0, 13)))
 
 
 def test_zero_mass_pair():
@@ -74,7 +70,7 @@ def test_zero_mass_pair():
     res = mwd_exact(z, z)
     assert res.distance == 0
     assert res.plan == ()
-    assert mwd_oracle_assignment(z, z) == 0
+    assert assignment_distance(z, z) == 0
 
 
 def test_one_by_one_is_always_zero():
@@ -89,7 +85,7 @@ def test_matches_oracle_on_random_instances():
         n = rng.randrange(1, 5)
         mass = rng.randrange(0, 13)
         p, q = random_pair(rng, m, n, mass)
-        assert mwd_exact(p, q).distance == mwd_oracle_assignment(p, q)
+        assert mwd_exact(p, q).distance == assignment_distance(p, q)
 
 
 def test_plan_contract_on_random_instances():
@@ -376,7 +372,7 @@ def test_grid_engine_skips_a_sink_whose_path_lost_its_cancel_step():
     shipped = mwd_module._solve_grid(tuple(map(sub, p.cells, q.cells)), 4, 2)
     assert shipped == {(4, 0): 1, (5, 3): 1, (7, 6): 1, (7, 3): 1}
     plan = _engine_plans(p, q)["grid"]
-    assert plan_cost(plan) == mwd_oracle_assignment(p, q) == mwd_exact(p, q).distance == 6
+    assert plan_cost(plan) == assignment_distance(p, q) == mwd_exact(p, q).distance == 6
     assert plan_marginals(plan, 4, 2) == (p.cells, q.cells)
     assert plan_is_optimal(p, q, plan)
 
@@ -398,13 +394,13 @@ def test_support_index_is_shared_across_grid_sizes(monkeypatch):
         res = mwd_exact(p, q)
         assert len(mwd_module._index) == index_len
         assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
-        want = 3 * 254 if p.rows == 128 else mwd_oracle_assignment(p, q)
+        want = 3 * 254 if p.rows == 128 else assignment_distance(p, q)
         assert res.distance == plan_cost(res.plan) == want
 
 
 def _certificate_cases():
     """Seeded pairs for the optimality certificate: 300 up to 8x8 (cells
-    0/1/3/9), 20 dense 12x12 pairs above the oracle's mass limit (grid
+    0/1/3/9), 20 dense 12x12 pairs above the assignment reference's mass limit (grid
     engine), and 4 128x128 point-mass pairs and 4 32x32 to 64x64 pairs of
     uneven point masses (bipartite engine)."""
     rng = random.Random(1414)
