@@ -99,7 +99,15 @@ def parse_grid(text: str) -> GridHistogram:
         if not (joined.isascii() and joined.isdigit()):
             bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
             raise BadTokenError(f"line {lineno}: bad token {bad!r}")
-        flat.extend(map(int, tokens))
+        try:
+            flat.extend(map(int, tokens))
+        except ValueError:
+            # Only a token past the interpreter's int digit limit (4300
+            # digits by default) gets here; it is not echoed.
+            longest = max(map(len, tokens))
+            raise BadTokenError(
+                f"line {lineno}: a {longest}-digit token is over the int digit limit"
+            ) from None
     if not flat:
         raise EmptyGridError("grid text contains no rows")
     return GridHistogram(len(flat) // ncols, ncols, tuple(flat))

@@ -18,8 +18,9 @@ shape alone. With S surplus and D deficit cells among N:
   Dijkstra, on Dial's bucket queue (CACM 1969), grows a shortest-path
   forest from the cells with surplus left, and flow is pushed along it;
 - otherwise (sparse): ``_solve_transport``, single-source shortest
-  augmenting paths on the bipartite surplus x deficit graph, whose S * D
-  arcs each cost the Manhattan distance of their ends.
+  augmenting paths, started from a column reduction, on the bipartite
+  surplus x deficit graph, whose S * D arcs each cost the Manhattan
+  distance of their ends.
 
 Only the grid engine reads ``d`` as a full N-cell vector; the sparse path
 builds its input from the support alone.
@@ -29,9 +30,10 @@ every plan amount are exact ints. Both engines give the same distance; when
 several plans are optimal they may return different ones.
 
 Both engines stay because neither is fast on the other's inputs: on 128x128
-grids of 32 point masses of 100 the grid engine takes 130-170 ms and the
-bipartite one 0.6-1.0 ms, while on 12x12 grids with cells 0..9 the grid
-engine is 3-8x faster (2-vCPU host, same distances).
+grids of 32 point masses of 100 the grid engine's solve takes 110-290 ms
+(median 170, 16 pairs) and the bipartite one's 0.4-1.4 ms (median 0.8, 64
+pairs, best of 5 calls), while on 12x12 grids with cells 0..9 the grid
+engine is 3-4x faster (2-vCPU host, same distances).
 """
 
 from __future__ import annotations
@@ -49,14 +51,15 @@ from .grid import total_mass  # noqa: F401
 Cell = tuple[int, int]
 
 # The grid engine runs when surplus cells x deficit cells exceeds this many
-# times the cell count. Measured crossovers (both engines on the same pairs,
-# best of 3 each, medians by ratio): on uniform 8x8 to 20x20 grids with cells
-# 0..1 to 0..3 the grid engine is 1.1x faster at ratios 4-6, 1.3x at 6-8 and
-# 1.7x at 8-10; on 24x24 to 64x64 grids of uneven point masses the bipartite
-# engine is 1.9x faster at 2-4, the two are even at 4-6, and the grid engine
-# is 1.2x faster at 6-10; at 12x12 with cells 0..9 (ratio ≈ 28-31) the grid
-# engine is 3-8x faster.
-GRID_ENGINE_RATIO = 6
+# times the cell count. Measured crossovers (both engines' solves on the same
+# pairs, best of 3 each, medians by ratio): on 160 uniform 8x8 to 20x20 grids
+# with cells 0..1 to 0..3 the bipartite engine is 1.6x faster at ratios 4-6
+# and 1.15x at 6-8, the grid engine 1.06x faster at 8-10 and 1.4x at 12-14;
+# on 100 24x24 to 64x64 grids of uneven point masses the bipartite engine is
+# 1.6x faster at 4-6 and 1.1x at 6-8, the grid engine 1.06x faster at 8-10
+# and 1.35x at 10-12; on 8x8 and 12x12 grids with cells 0..9 (ratios 10-16
+# and 26-32) the grid engine is 1.6-1.9x and 3.2-4.4x faster.
+GRID_ENGINE_RATIO = 8
 
 # 0, 1, ..., N - 1 for the largest grid seen so far; see ``mwd_exact``.
 _index: tuple[int, ...] = ()
@@ -149,17 +152,29 @@ def _solve_transport(
 
     Sources and sinks carry potentials, and the reduced cost ``cost + source
     potential - sink potential`` of every arc stays nonnegative; it is 0 on
-    every arc carrying flow, since that flow can also be cancelled. Each
-    phase serves the first source in row-major order that still has
-    supply, its root. Sink distances start from the root's reduced-cost row;
-    the phase then settles the open sink of least distance until it settles
-    one with demand left, the target. A settled sink reaches the sources
-    that ship to it at its own distance, and each source so reached relaxes
-    its row once. Potentials change by ``distance - target distance`` on the
-    nodes the phase reached, which keeps the invariant. The path from root
-    to target alternates shipping and cancelling flow, and carries
-    ``min(root supply, target demand, each flow it cancels)``. Ties settle
-    the lower sink index first.
+    every arc carrying flow, since that flow can also be cancelled.
+
+    The solve starts from a column reduction (Jonker & Volgenant's start):
+    each sink's potential is its least cost over all sources, every source's
+    is 0, so every reduced cost is nonnegative and each sink has a tight arc
+    from the first source, in row-major order, at that least cost. That
+    source ships ``min(its supply left, the sink's demand)`` along it.
+
+    Phases then serve the supply left. Each phase serves the first source
+    in row-major order that still has supply, its root. Sink distances start
+    from the root's reduced-cost row; the phase then settles the open sink
+    of least distance until it settles one with demand left, the target. A
+    settled sink reaches the sources that ship to it at its own distance,
+    and each source so reached relaxes its row once. Potentials change by
+    ``distance - target distance`` on the nodes the phase reached, which
+    keeps the invariant. The path from root to target alternates shipping
+    and cancelling flow, and carries ``min(root supply, target demand, each
+    flow it cancels)``.
+
+    The next sink is ``dist.index(min(dist))``, two C-speed scans; a settled
+    sink's distance moves to ``settled`` and its ``dist`` entry becomes
+    ``far``, more than any distance in the phase, so ties settle the lower
+    sink index first.
     """
     dst = [divmod(i, cols) for i, _ in dem]
     cost_rows = [
@@ -169,8 +184,18 @@ def _solve_transport(
     supply = [a for _, a in sup]
     demand = [a for _, a in dem]
     pot_s = [0] * len(sup)
-    pot_t = [0] * len(dem)
+    pot_t = []
     flow_by_d: list[dict[int, int]] = [{} for _ in dem]
+
+    for k, col in enumerate(zip(*cost_rows)):
+        least = min(col)
+        pot_t.append(least)
+        s = col.index(least)
+        amt = min(supply[s], demand[k])
+        if amt:
+            flow_by_d[k][s] = amt
+            supply[s] -= amt
+            demand[k] -= amt
 
     # Only a phase's own root loses supply: every other source on its path
     # ships as much as it cancels. Totals are equal, so while the root has
@@ -179,18 +204,20 @@ def _solve_transport(
         while supply[root]:
             pr = pot_s[root]
             dist = [c + pr - pt for c, pt in zip(cost_rows[root], pot_t)]
+            far = max(dist) + 1  # distances only fall during a phase
             via = [root] * len(dem)  # source before each sink on its path
             reached = {root: 0}  # source -> its distance
             back: dict[int, int] = {}  # source -> the sink that reached it
             open_sinks = list(range(len(dem)))
-            settled = []
+            settled = []  # (sink, its distance)
             while True:
-                k = min(open_sinks, key=dist.__getitem__)
-                du = dist[k]
+                du = min(dist)
+                k = dist.index(du)
                 if demand[k]:
                     break
+                dist[k] = far
                 open_sinks.remove(k)
-                settled.append(k)
+                settled.append((k, du))
                 for s in flow_by_d[k]:
                     if s in reached:
                         continue
@@ -203,8 +230,8 @@ def _solve_transport(
                         if alt < dist[j]:
                             dist[j] = alt
                             via[j] = s
-            for j in settled:
-                pot_t[j] += dist[j] - du
+            for j, dj in settled:
+                pot_t[j] += dj - du
             for s, ds in reached.items():
                 pot_s[s] += ds - du
 

@@ -69,11 +69,13 @@ def test_dist_missing_file(grid_files, capsys):
 def test_dist_malformed_grid(tmp_path, grid_files, capsys):
     fp, _ = grid_files
     bad = tmp_path / "bad.txt"
-    for content in (b"1 zebra\n", b"\xff\xfe1 2\n"):  # a bad token; not UTF-8
+    # A bad token; not UTF-8; a token over int()'s 4300-digit limit.
+    for content in (b"1 zebra\n", b"\xff\xfe1 2\n", b"1 " + b"9" * 5000 + b"\n"):
         bad.write_bytes(content)
         assert main(["dist", fp, str(bad)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: {bad}: ")
+        assert len(err[0]) < 200
 
 
 def test_dist_mismatched_grids(tmp_path, grid_files, capsys):

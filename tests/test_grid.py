@@ -108,6 +108,11 @@ def test_parse_grid_bad_tokens():
             parse_grid(text)
     with pytest.raises(BadTokenError, match=r"^line 1: bad token 'x'$"):
         parse_grid("1 2 x y")
+    # int() refuses more than 4300 digits by default; the error names the
+    # line and the token's length, not the token.
+    assert parse_grid("1 2\n3 " + "4" * 4300).cells[-1] == int("4" * 4300)
+    with pytest.raises(BadTokenError, match=r"^line 2: a 5000-digit token is over the int digit"):
+        parse_grid("1 2\n3 " + "4" * 5000)
 
 
 def test_cells_are_row_major():

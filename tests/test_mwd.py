@@ -265,7 +265,8 @@ def test_size_rule_picks_engine(monkeypatch):
     sparse = _point_mass_pair(rng, 128, 128, 32, 100)
     dense = _uniform_pair(rng, 12, 12, 9)
     zero = GridHistogram(3, 4, (0,) * 12)
-    # 1x48 alternating units: S * D = 576 > 10 * 48, each unit moves one step.
+    # 1x48 alternating units: S * D = 576 > GRID_ENGINE_RATIO * 48 = 384, each
+    # unit moves one step.
     row_p = GridHistogram(1, 48, (1, 0) * 24)
     row_q = GridHistogram(1, 48, (0, 1) * 24)
     for (p, q), engine in (
@@ -283,16 +284,55 @@ def test_size_rule_picks_engine(monkeypatch):
 
 
 def test_sparse_engine_reroutes_shipped_flow(monkeypatch):
-    # The first phase ships cell 2 to its nearest sink, cell 3; the second
-    # finds cell 4's cheapest route through cell 3 and cancels that flow.
-    p = GridHistogram(1, 5, (0, 0, 1, 0, 1))
-    q = GridHistogram(1, 5, (1, 0, 0, 1, 0))
+    # 1x6, sources at cells 2, 3 and 5, sinks at 0, 1 and 4. The column
+    # reduction ships 2 -> 0 and 3 -> 4, each sink's least cost; cell 1's
+    # least cost is from cell 2, which has nothing left, so 1 gets nothing.
+    # The one phase, rooted at 5, reaches 4 at reduced cost 0, goes back
+    # along 3 -> 4 to source 3 and on to sink 1: it ships 5 -> 4, cancels
+    # 3 -> 4 and ships 3 -> 1. Keeping 3 -> 4 and shipping 5 -> 1 costs 7.
+    p = GridHistogram(1, 6, (0, 0, 1, 1, 0, 1))
+    q = GridHistogram(1, 6, (1, 1, 0, 0, 1, 0))
     used, res = _engine_used(monkeypatch, p, q)
     assert used == ["_solve_transport"]
-    assert res.distance == 3
-    assert res.plan == (Move((0, 2), (0, 0), 1), Move((0, 4), (0, 3), 1))
+    assert res.distance == 5
+    assert res.plan == (Move((0, 2), (0, 0), 1), Move((0, 3), (0, 1), 1), Move((0, 5), (0, 4), 1))
     assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
     assert plan_cost(res.plan) == res.distance
+
+
+def _reduction_runs_dry(p, q):
+    """Whether some surplus cell is the first least-cost source (in
+    row-major order) of deficit cells whose deficits add up to more than
+    its surplus, so the sparse engine's column reduction uses it up."""
+    d = [a - b for a, b in zip(p.cells, q.cells)]
+    sources = [i for i, v in enumerate(d) if v > 0]
+    owed = dict.fromkeys(sources, 0)
+    for t, v in enumerate(d):
+        if v < 0:
+            cell = divmod(t, p.cols)
+            owed[min(sources, key=lambda s: manhattan_cost(divmod(s, p.cols), cell))] -= v
+    return any(owed[s] > d[s] for s in sources)
+
+
+def test_sparse_engine_when_a_least_cost_source_runs_dry():
+    # 1xn, nx1 and binary 2-D pairs of mass <= 12 where several sinks share
+    # their least-cost source and it cannot serve them all, so the phases
+    # start with some sinks unserved by their tightest arc.
+    rng = random.Random(713)
+    cases = []
+    while len(cases) < 90:
+        kind = len(cases) % 3  # 1xn, nx1, binary 2-D
+        side = rng.randrange(3, 13)
+        m, n = ((1, side), (side, 1), (rng.randrange(2, 5), rng.randrange(2, 5)))[kind]
+        k = rng.randrange(1, min(m * n // 2, 6) + 1)
+        units = 1 if kind == 2 else rng.randrange(1, 13 // k + 1)
+        p, q = _point_mass_pair(rng, m, n, k, units)
+        if _reduction_runs_dry(p, q):
+            cases.append((p, q))
+    for p, q in cases:
+        plan = _engine_plans(p, q)["bipartite"]
+        assert plan_marginals(plan, p.rows, p.cols) == (p.cells, q.cells)
+        assert plan_cost(plan) == mwd_exact(p, q).distance == assignment_distance(p, q)
 
 
 def _uneven_point_pair(rng, m, n, points):

@@ -205,6 +205,7 @@ def _errors() -> Iterator[tuple[str, Any]]:
                 "2,8,0,1,,12,11,0.2,0.1,,1,1,1,mass_cap",
             )
         ],
+        (gridemd.parse_grid, ("1 " + "7" * 5000,)),
     ]
     for i, case in enumerate(cases):
         if case is not None:
