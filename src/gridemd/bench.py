@@ -21,7 +21,7 @@ import random
 import statistics
 import time
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
     DimensionMismatchError,
@@ -320,11 +320,22 @@ def emit_records_csv(records: Iterable[BenchRecord], dest: TextIO) -> None:
         writer.writerow([_cell(getattr(r, name)) for name in _RECORDS_CSV_FIELDS])
 
 
+def _csv_rows(src: TextIO) -> Iterator[list[str]]:
+    """``src``'s CSV rows; a ``csv.Error``, such as a field past the csv
+    module's size limit, becomes an InputFormatError naming its line."""
+    reader = csv.reader(src)
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise InputFormatError(f"line {reader.line_num}: {exc}") from None
+
+
 def read_records_csv(src: TextIO) -> list[BenchRecord]:
     """Parse a records CSV produced by emit_records_csv.
 
     The header line must match the documented one exactly. These rows are
-    an InputFormatError: the wrong field count, an ``int`` cell that is not
+    an InputFormatError: one the csv module cannot read (a field over its
+    size limit), the wrong field count, an ``int`` cell that is not
     ASCII digits, an error that is not finite or is negative, an
     ``excluded`` cell other than 0 or 1, a ``fail_reason`` other than "",
     "mass_cap" or "zero_mwd", ``excluded`` 1 with an empty ``fail_reason``
@@ -333,7 +344,7 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
     errors are set exactly on used rows, and ``mwd`` is 0 exactly on
     "zero_mwd" rows.
     """
-    reader = csv.reader(src)
+    reader = _csv_rows(src)
     try:
         header = next(reader)
     except StopIteration:

@@ -30,10 +30,11 @@ from .errors import (
 class GridHistogram:
     """An immutable rows x cols grid of nonnegative integer masses.
 
-    ``cells`` holds the masses in row-major order; cell (i, j) lives at
-    flat index ``i * cols + j``. The dimensions and each cell are exactly
-    ``int``s: a ``bool`` cell would be written by ``format_grid`` as text
-    that ``parse_grid`` rejects.
+    ``cells`` is a tuple of the masses in row-major order; cell (i, j)
+    lives at flat index ``i * cols + j``. A list would leave the grid
+    mutable and unhashable, so it is rejected. The dimensions and each cell
+    are exactly ``int``s: a ``bool`` cell would be written by
+    ``format_grid`` as text that ``parse_grid`` rejects.
     """
 
     rows: int
@@ -45,6 +46,8 @@ class GridHistogram:
             raise PreconditionError(f"grid dimensions must be ints, got {self.rows!r}x{self.cols!r}")
         if self.rows < 1 or self.cols < 1:
             raise PreconditionError(f"grid dimensions must be >= 1, got {self.rows}x{self.cols}")
+        if type(self.cells) is not tuple:
+            raise PreconditionError(f"cells must be a tuple, got {type(self.cells).__name__}")
         if len(self.cells) != self.rows * self.cols:
             raise PreconditionError(
                 f"expected {self.rows * self.cols} cells for a "

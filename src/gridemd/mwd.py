@@ -30,10 +30,10 @@ every plan amount are exact ints. Both engines give the same distance; when
 several plans are optimal they may return different ones.
 
 Both engines stay because neither is fast on the other's inputs: on 128x128
-grids of 32 point masses of 100 the grid engine's solve takes 110-290 ms
-(median 170, 16 pairs) and the bipartite one's 0.4-1.4 ms (median 0.8, 64
+grids of 32 point masses of 100 the grid engine's solve takes 100-210 ms
+(median 150, 16 pairs) and the bipartite one's 0.3-1.4 ms (median 0.6, 64
 pairs, best of 5 calls), while on 12x12 grids with cells 0..9 the grid
-engine is 3-4x faster (2-vCPU host, same distances).
+engine is 2-7x faster (median 3.4x, 32 pairs, best of 3; 2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import compress
 from operator import sub
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .grid import GridHistogram, check_pair
 
@@ -65,8 +65,7 @@ GRID_ENGINE_RATIO = 8
 _index: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True, slots=True)
-class Move:
+class Move(NamedTuple):
     """``amount`` units moved from cell ``src`` to cell ``dst``."""
 
     src: Cell
@@ -76,7 +75,8 @@ class Move:
 
 @dataclass(frozen=True, slots=True)
 class MwdResult:
-    """Optimal distance plus one optimal transport plan attaining it."""
+    """Optimal distance plus one optimal transport plan attaining it, its
+    moves listed by ``src``, then ``dst``, in row-major order."""
 
     distance: int
     plan: tuple[Move, ...]
@@ -130,25 +130,25 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(pc):
         shipped = _solve_grid(tuple(map(sub, pc, qc)), p.rows, cols)
     else:
-        shipped = _solve_transport(sup, dem, cols)
+        shipped = _solve_transport(sup, dem, cell)
 
     moves += [Move(cell[s], cell[t], amt) for (s, t), amt in shipped.items()]
-    moves.sort(key=lambda mv: (mv.src, mv.dst))
+    moves.sort()  # each (src, dst) occurs once, so amounts are never compared
     return MwdResult(plan_cost(moves), tuple(moves))
 
 
 def _solve_transport(
-    sup: list[tuple[int, int]], dem: list[tuple[int, int]], cols: int
+    sup: list[tuple[int, int]], dem: list[tuple[int, int]], cell: dict[int, Cell]
 ) -> dict[tuple[int, int], int]:
     """Min-cost balanced transportation by single-source shortest augmenting
     paths (Jonker & Volgenant 1987; Ahuja, Magnanti & Orlin, *Network
     Flows*, 9.7): the sparse engine of ``mwd_exact``.
 
     ``sup`` and ``dem`` list the surplus and deficit cells as (flat index,
-    amount) in row-major order; every surplus-deficit arc exists with
-    unlimited capacity and costs the Manhattan distance of its ends. Returns
-    the shipped amounts as ``{(source, sink): amount}`` with flat cell
-    indices.
+    amount) in row-major order, and ``cell`` maps each of those indices to
+    its (row, col); every surplus-deficit arc exists with unlimited capacity
+    and costs the Manhattan distance of its ends. Returns the shipped
+    amounts as ``{(source, sink): amount}`` with flat cell indices.
 
     Sources and sinks carry potentials, and the reduced cost ``cost + source
     potential - sink potential`` of every arc stays nonnegative; it is 0 on
@@ -176,10 +176,9 @@ def _solve_transport(
     ``far``, more than any distance in the phase, so ties settle the lower
     sink index first.
     """
-    dst = [divmod(i, cols) for i, _ in dem]
+    dst = [cell[i] for i, _ in dem]
     cost_rows = [
-        [abs(si - di) + abs(sj - dj) for di, dj in dst]
-        for si, sj in (divmod(i, cols) for i, _ in sup)
+        [abs(si - di) + abs(sj - dj) for di, dj in dst] for si, sj in (cell[i] for i, _ in sup)
     ]
     supply = [a for _, a in sup]
     demand = [a for _, a in dem]
@@ -338,8 +337,8 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
         via: list[tuple[int, int, int] | None] = [None] * n
         sinks = []
         # buckets[k] holds the cells whose distance fell to k; zero-cost steps
-        # append to the bucket being read, so the first one is a copy.
-        buckets = [sources.copy()]
+        # append to the bucket being read.
+        buckets = [sources]
         for du, bucket in enumerate(buckets):
             for u in bucket:
                 if dist[u] != du:

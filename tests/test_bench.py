@@ -292,6 +292,8 @@ def test_read_records_csv_rejects_bad_input():
         "2,8,0,1,10,12,11,,,,1,1,1,mass_cap",
         "2,8,0,1,,12,11,,,1,1,1,1,mass_cap",
         "2,8,0,1,,12,11,,0.1,,1,1,1,mass_cap",
+        # A field past the csv module's size limit (131072 by default).
+        "2,8,0,1,10,12,11,0.2,0.1,1,1,1,1," + "x" * 200_000,
     ):
         with pytest.raises(InputFormatError, match="^line 2: "):
             read_records_csv(io.StringIO(header + "\n" + row + "\n"))

@@ -204,6 +204,8 @@ def test_plot_bad_csv(tmp_path, capsys):
         header + b"2,8,0,1,10,12,11,nan,0.1,1,1,1,0,\n",
         header + b"2,8,0,1,10,12,11,0.2,inf,1,1,1,0,\n",
         header + b"2,8,0,1,10,12,11,0.2,0.1,-1,1,1,0,\n",
+        # A field past the csv module's size limit.
+        header + b"2,8,0,1,10,12,11,0.2,0.1,1,1,1,1," + b"x" * 200_000 + b"\n",
     ):
         src.write_bytes(content)
         assert main(["plot", "--in", str(src), "--out", str(tmp_path / "x.svg")]) == 2

@@ -50,6 +50,11 @@ def test_construction_rejects_bad_inputs():
         GridHistogram(True, 1, (1,))
     with pytest.raises(ValueError, match=r"^grid dimensions must be >= 1, got 0x3$"):
         GridHistogram(0, 3, ())
+    # Only a tuple keeps the grid immutable and hashable; None is no sequence.
+    with pytest.raises(ValueError, match=r"^cells must be a tuple, got list$"):
+        GridHistogram(1, 2, [1, 0])
+    with pytest.raises(ValueError, match=r"^cells must be a tuple, got NoneType$"):
+        GridHistogram(1, 1, None)
 
 
 def test_construction_errors_are_typed():

@@ -100,6 +100,7 @@ def test_plan_contract_on_random_instances():
         assert plan_marginals(res.plan, m, n) == (p.cells, q.cells)
         assert plan_cost(res.plan) == res.distance
         assert len({(mv.src, mv.dst) for mv in res.plan}) == len(res.plan)
+        assert list(res.plan) == sorted(res.plan)  # by src, then dst, row-major
         # Common mass stays put, also where d = p - q is 0, and nowhere else.
         stay = {mv.src: mv.amount for mv in res.plan if mv.src == mv.dst}
         assert stay == {
@@ -210,17 +211,17 @@ def _engine_plans(p, q):
     """Full plans from both engines run directly on the same ``d = p - q``:
     stay-put moves plus each engine's shipped amounts."""
     d = tuple(a - b for a, b in zip(p.cells, q.cells))
-    cols = p.cols
-    stay = [Move(divmod(i, cols), divmod(i, cols), min(a, b))
+    cell = {i: divmod(i, p.cols) for i in range(len(d))}
+    stay = [Move(cell[i], cell[i], min(a, b))
             for i, (a, b) in enumerate(zip(p.cells, q.cells)) if min(a, b)]
     sup = [(i, v) for i, v in enumerate(d) if v > 0]
     dem = [(i, -v) for i, v in enumerate(d) if v < 0]
     shipped = {
-        "grid": mwd_module._solve_grid(d, p.rows, cols),
-        "bipartite": mwd_module._solve_transport(sup, dem, cols),
+        "grid": mwd_module._solve_grid(d, p.rows, p.cols),
+        "bipartite": mwd_module._solve_transport(sup, dem, cell),
     }
     return {
-        name: stay + [Move(divmod(s, cols), divmod(t, cols), amt) for (s, t), amt in moves.items()]
+        name: stay + [Move(cell[s], cell[t], amt) for (s, t), amt in moves.items()]
         for name, moves in shipped.items()
     }
 
@@ -298,6 +299,21 @@ def test_sparse_engine_reroutes_shipped_flow(monkeypatch):
     assert res.plan == (Move((0, 2), (0, 0), 1), Move((0, 3), (0, 1), 1), Move((0, 5), (0, 4), 1))
     assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
     assert plan_cost(res.plan) == res.distance
+
+
+def test_sparse_engine_column_reduction_ships_flow(monkeypatch):
+    # 1x4, sources at cells 0 and 1, sinks at 2 and 3; both plans cost 4, so
+    # only the plan shows what the column reduction did. It ships 1 -> 2,
+    # sink 2's least cost; sink 3's least cost is from cell 1 too, which has
+    # nothing left. The one phase, rooted at 0, then ships 0 -> 3. A
+    # reduction that set the potentials but shipped nothing would leave both
+    # sources to the phases, and the first, rooted at 0, would take sink 2.
+    p = GridHistogram(1, 4, (1, 1, 0, 0))
+    q = GridHistogram(1, 4, (0, 0, 1, 1))
+    used, res = _engine_used(monkeypatch, p, q)
+    assert used == ["_solve_transport"]
+    assert res.distance == 4
+    assert res.plan == (Move((0, 0), (0, 3), 1), Move((0, 1), (0, 2), 1))
 
 
 def _reduction_runs_dry(p, q):

@@ -206,6 +206,12 @@ def _errors() -> Iterator[tuple[str, Any]]:
             )
         ],
         (gridemd.parse_grid, ("1 " + "7" * 5000,)),
+        (  # a field past the csv module's size limit
+            gridemd.read_records_csv,
+            (io.StringIO(_record_csv("2,8,0,1,10,12,11,0.2,0.1,1,1,1,1," + "x" * 200_000)),),
+        ),
+        (G, (1, 2, [1, 0])),
+        (G, (1, 1, None)),
     ]
     for i, case in enumerate(cases):
         if case is not None:
