@@ -24,12 +24,11 @@ from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .errors import (
-    DimensionMismatchError,
     EmptyInputError,
     InputFormatError,
     PreconditionError,
 )
-from .grid import GridHistogram, total_mass
+from .grid import GridHistogram, check_shape, total_mass
 from .mwd import mwd_exact
 from .qmwd import qmwd
 from .wd1d import wd_1d
@@ -87,8 +86,7 @@ def equalize_mass(
     """Make the totals equal by adding the deficit to the lighter grid,
     one unit at a time at uniformly random cells (seeded, deterministic).
     """
-    if p.shape != q.shape:
-        raise DimensionMismatchError(f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}")
+    check_shape(p, q)
     tp, tq = total_mass(p), total_mass(q)
     if tp == tq:
         return p, q
@@ -171,8 +169,10 @@ def _error_ratio(text: str) -> float:
     value = float(text)
     if not math.isfinite(value):
         raise ValueError(f"non-finite value {text!r}")
-    if value < 0:
+    if math.copysign(1.0, value) < 0:
         raise ValueError(f"negative error {text!r}")
+    if text != repr(value):  # the only form ``_cell`` writes
+        raise ValueError(f"expected a float as repr writes it, got {text!r}")
     return value
 
 
@@ -184,8 +184,9 @@ def _zero_one(text: str) -> bool:
 
 def _column_parser(annotation: str) -> Callable[[str], object]:
     """Cell parser for a BenchRecord field annotated ``int`` (ASCII digits
-    only), ``float`` (an error ratio: finite and >= 0), ``bool`` (exactly 0
-    or 1) or ``str``; ``X | None`` reads "" as None."""
+    only), ``float`` (an error ratio: finite, >= 0 and spelled as ``repr``
+    spells it), ``bool`` (exactly 0 or 1) or ``str``; ``X | None`` reads ""
+    as None."""
     kind, optional, _ = annotation.partition(" | None")
     parse = {"int": _digits, "float": _error_ratio, "bool": _zero_one, "str": str}[kind]
     return (lambda t: None if t == "" else parse(t)) if optional else parse
@@ -336,7 +337,8 @@ def read_records_csv(src: TextIO) -> list[BenchRecord]:
     The header line must match the documented one exactly. These rows are
     an InputFormatError: one the csv module cannot read (a field over its
     size limit), the wrong field count, an ``int`` cell that is not
-    ASCII digits, an error that is not finite or is negative, an
+    ASCII digits, an error that is not finite, is negative (``-0.0``
+    included) or is not spelled as ``repr`` spells it, an
     ``excluded`` cell other than 0 or 1, a ``fail_reason`` other than "",
     "mass_cap" or "zero_mwd", ``excluded`` 1 with an empty ``fail_reason``
     or 0 with a non-empty one, and cells that disagree with ``fail_reason``:

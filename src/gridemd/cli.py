@@ -17,7 +17,7 @@ from typing import Callable, Sequence, TextIO, TypeVar
 from .bench import SweepConfig, aggregate, emit_records_csv, read_records_csv, run_sweep
 from .charts import emit_svg
 from .errors import EmptyInputError, InputFormatError, PreconditionError
-from .grid import GridHistogram, check_pair, parse_grid
+from .grid import GridHistogram, check_mass, check_shape, parse_grid
 from .mwd import mwd_exact
 from .qmwd import qmwd
 from .wd1d import prefix_work
@@ -133,8 +133,10 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         if args.plan:
             plan_rows = [[*mv.src, *mv.dst, mv.amount] for mv in res.plan]
     if args.metric in ("wdvec", "all"):
-        check_pair(p, q)
-        out["wd_vec"] = prefix_work(map(sub, p.cells, q.cells))
+        check_shape(p, q)
+        d = tuple(map(sub, p.cells, q.cells))
+        check_mass(p, q, sum(d))
+        out["wd_vec"] = prefix_work(d)
     if args.metric in ("qmwd", "all"):
         out["qmwd"] = qmwd(p, q).qmwd
 

@@ -1,4 +1,4 @@
-"""Integer grid histograms: their text form, the pair check the distance
+"""Integer grid histograms: their text form, the pair checks the distance
 measures share, and two view transforms.
 
 A grid is an m x n array of nonnegative integer masses stored row-major.
@@ -145,19 +145,37 @@ def total_mass(g: GridHistogram) -> int:
     return sum(g.cells)
 
 
-def check_pair(p: GridHistogram, q: GridHistogram) -> None:
-    """Check that two grids can be compared: DimensionMismatchError for
-    different shapes, then MassMismatchError for different totals.
-
-    Every distance measure on a pair of grids runs this check first.
-    """
+def check_shape(p: GridHistogram, q: GridHistogram) -> None:
+    """DimensionMismatchError unless the two grids have the same shape."""
     if p.shape != q.shape:
         raise DimensionMismatchError(
             f"grids are {p.rows}x{p.cols} vs {q.rows}x{q.cols}"
         )
-    tp, tq = total_mass(p), total_mass(q)
-    if tp != tq:
-        raise MassMismatchError(f"total masses differ: {tp} vs {tq}")
+
+
+def check_mass(p: GridHistogram, q: GridHistogram, excess: int) -> None:
+    """MassMismatchError unless ``excess``, ``total_mass(p) - total_mass(q)``
+    as the caller found it on data it already holds, is 0.
+
+    Only this error path sums the two grids, to name their totals.
+    """
+    if excess:
+        raise MassMismatchError(
+            f"total masses differ: {total_mass(p)} vs {total_mass(q)}"
+        )
+
+
+def check_pair(p: GridHistogram, q: GridHistogram) -> None:
+    """Check that two grids can be compared: DimensionMismatchError for
+    different shapes, then MassMismatchError for different totals.
+
+    Every distance measure on a pair of grids makes these two checks in
+    this order, with the same errors and messages; each runs
+    ``check_shape`` first and then ``check_mass`` on the difference or the
+    support it builds anyway, so none sums a whole grid on success.
+    """
+    check_shape(p, q)
+    check_mass(p, q, total_mass(p) - total_mass(q))
 
 
 def format_grid(g: GridHistogram, sep: str = " ") -> str:

@@ -1,13 +1,15 @@
 """Exact earth mover's distance between equal-mass grids under Manhattan cost.
 
-Mass common to both grids stays where it is at zero cost. After
-``check_pair``, the support, the cells where either grid holds mass, is
-found by two ``compress`` calls over a shared tuple of cell indices, and
-every move is built from it: the common mass ``min(p, q)``
-as src == dst moves, so the plan's marginals always match the full input
-grids, and the moves the solve ships. Only the difference ``d = p - q``
-enters the solve: surplus cells are where it is positive, deficit cells
-where it is negative. The distance is the plan's cost.
+Mass common to both grids stays where it is at zero cost. After the shape
+check, the support, the cells where either grid holds mass, is found by two
+``compress`` calls over a shared tuple of cell indices, and every move is
+built from it: the common mass ``min(p, q)`` as src == dst moves, so the
+plan's marginals always match the full input grids, and the moves the solve
+ships. Only the difference ``d = p - q`` enters the solve: surplus cells are
+where it is positive, deficit cells where it is negative. Both grids are 0
+off the support, so total surplus minus total deficit is ``total(p) -
+total(q)``, and the mass check reads it there instead of summing the grids.
+The distance is the plan's cost.
 
 Two exact engines solve for ``d``; ``mwd_exact`` picks one by the input's
 shape alone. With S surplus and D deficit cells among N:
@@ -43,7 +45,7 @@ from itertools import compress
 from operator import sub
 from typing import Iterable, NamedTuple
 
-from .grid import GridHistogram, check_pair
+from .grid import GridHistogram, check_mass, check_shape
 
 # Not called here; perfbench/tracing.py rebinds this name on this module.
 from .grid import total_mass  # noqa: F401
@@ -106,26 +108,39 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     the time taken and possibly which optimal plan is returned, never the
     distance.
 
-    Two ``compress`` calls over the module's index tuple ``0, 1, ..., N-1``
-    find the pair's support; every move and the bipartite engine's input
-    are built from it, the grid engine alone gets the full ``p - q``, and
-    the distance is ``plan_cost`` of the plan. The tuple is built on the
-    first call and rebuilt only for a larger grid, and it stays alive:
-    about 40 B per cell of the largest grid seen, 0.62 MiB after a 128x128
-    call (tracemalloc).
+    The shape is checked first (DimensionMismatchError), then the mass
+    (MassMismatchError), with ``check_pair``'s messages. Two ``compress``
+    calls over the module's index tuple ``0, 1, ..., N-1`` find the pair's
+    support, and one loop over it builds the stay-put moves and the surplus
+    and deficit lists, whose totals give the mass check, so no full grid is
+    summed unless the masses differ. The shipped moves and the bipartite
+    engine's input are built from the support too, the grid engine alone
+    gets the full ``p - q``, and the distance is ``plan_cost`` of the plan.
+    The tuple is built on the first call and rebuilt only for a larger grid,
+    and it stays alive: about 40 B per cell of the largest grid seen, 0.62
+    MiB after a 128x128 call (tracemalloc).
     """
     global _index
-    check_pair(p, q)
+    check_shape(p, q)
     pc, qc, cols = p.cells, q.cells, p.cols
     index = _index  # one read, so a concurrent call cannot shorten it
     if len(index) < len(pc):
         index = _index = tuple(range(len(pc)))
     # One (row, col) tuple per cell where either grid holds mass, shared by
     # that cell's stay-put move and every move it ships along.
-    cell = {i: divmod(i, cols) for i in sorted({*compress(index, pc), *compress(index, qc)})}
-    sup = [(i, v) for i in cell if (v := pc[i] - qc[i]) > 0]
-    dem = [(i, -v) for i in cell if (v := pc[i] - qc[i]) < 0]
-    moves = [Move(c, c, k) for i, c in cell.items() if (k := min(pc[i], qc[i]))]
+    cell: dict[int, Cell] = {}
+    sup: list[tuple[int, int]] = []
+    dem: list[tuple[int, int]] = []
+    moves: list[Move] = []
+    for i in sorted({*compress(index, pc), *compress(index, qc)}):
+        c = cell[i] = divmod(i, cols)
+        a, b = pc[i], qc[i]
+        if a != b:
+            (sup if a > b else dem).append((i, abs(a - b)))
+        if k := min(a, b):
+            moves.append(Move(c, c, k))
+    # Off the support both grids are 0, so this is total(p) - total(q).
+    check_mass(p, q, sum(v for _, v in sup) - sum(v for _, v in dem))
 
     if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(pc):
         shipped = _solve_grid(tuple(map(sub, pc, qc)), p.rows, cols)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import sub
 
-from .grid import GridHistogram, check_pair
+from .grid import GridHistogram, check_mass, check_shape
 from .wd1d import prefix_work
 
 # Not called here; perfbench/tracing.py rebinds these names on this module.
@@ -61,10 +61,13 @@ def qmwd(p: GridHistogram, q: GridHistogram) -> QmwdBreakdown:
     """Quasi Manhattan Wasserstein distance with its full breakdown.
 
     Requires identical shapes and equal total mass; a pair of all-zero
-    grids is allowed and yields an all-zero breakdown.
+    grids is allowed and yields an all-zero breakdown. The shape is checked
+    first, then the mass, as ``sum(d) == 0`` on the difference ``d = p - q``
+    the passes read anyway.
     """
-    check_pair(p, q)
+    check_shape(p, q)
     d = tuple(map(sub, p.cells, q.cells))
+    check_mass(p, q, sum(d))
     # The transposed grid's row-major vectorization is the columns in order;
     # the quarter-turned grid's is the same columns in reverse order.
     cols = p.cols

@@ -276,6 +276,19 @@ def test_read_records_csv_rejects_bad_input():
         "2,8,0,1,10,12,11,0.2,0.1,1,1,\u0663,0,",
         "2,8,0,1,10,12,11,-0.2,0.1,1,1,1,0,",
         "2,8,0,1,10,12,11,0.2,-0.1,1,1,1,0,",
+        # Float forms that float() takes but _cell never writes: padded,
+        # signed, a trailing zero, an exponent repr does not use, an
+        # underscore, no point, -0.0, and a quoted newline, which would
+        # also shift every later row's line number.
+        "2,8,0,1,10,12,11, 0.2,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,0.2 ,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,+0.2,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,0.20,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,2e-1,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,0_2,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,1,0.1,1,1,1,0,",
+        "2,8,0,1,10,12,11,0.2,-0.0,1,1,1,0,",
+        '2,8,0,1,10,12,11,"0.2\n",0.1,1,1,1,0,\n2,8,0,1,x,12,11,0.2,0.1,1,1,1,0,',
         "2,8,0,1,,12,11,,,,1,1,1,",
         "2,8,0,1,0,12,11,,,1,1,1,0,zero_mwd",
         # Cells that disagree with fail_reason: an unknown reason, a used row
@@ -297,6 +310,12 @@ def test_read_records_csv_rejects_bad_input():
     ):
         with pytest.raises(InputFormatError, match="^line 2: "):
             read_records_csv(io.StringIO(header + "\n" + row + "\n"))
+    # Floats as repr writes them read back.
+    for text in ("0.0", "1e-05", "0.30000000000000004", "1.5e+300"):
+        (rec,) = read_records_csv(
+            io.StringIO(header + f"\n2,8,0,1,10,12,11,{text},0.1,1,1,1,0,\n")
+        )
+        assert rec.err_wd == float(text)
     # The excluded forms that emit_records_csv does write still read back.
     rows = ("2,8,0,1,,12,11,,,,1,1,1,mass_cap", "2,8,1,1,0,12,11,,,1,1,1,1,zero_mwd")
     assert [(r.excluded, r.fail_reason) for r in read_records_csv(

@@ -97,11 +97,15 @@ def test_dist_transposed_shapes_rejected(tmp_path, metric, capsys):
     assert captured.err == "error: grids are 2x3 vs 3x2\n"
 
 
-def test_dist_mass_mismatch(tmp_path, grid_files, capsys):
+@pytest.mark.parametrize("metric", ["mwd", "qmwd", "wdvec", "all"])
+def test_dist_mass_mismatch(tmp_path, grid_files, metric, capsys):
     fp, _ = grid_files
     other = tmp_path / "heavy.txt"
     other.write_text("2 2\n2 2\n")
-    assert main(["dist", fp, str(other)]) == 3
+    assert main(["dist", fp, str(other), "--metric", metric]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: total masses differ: 1 vs 8\n"
 
 
 def test_usage_errors(capsys):

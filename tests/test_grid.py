@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+import gridemd.grid as grid_module
 from gridemd import (
     BadTokenError,
     DimensionMismatchError,
@@ -16,12 +17,14 @@ from gridemd import (
     MassMismatchError,
     RaggedRowsError,
     format_grid,
+    mwd_exact,
     parse_grid,
+    qmwd,
     rotate90,
     total_mass,
     transpose,
 )
-from gridemd.grid import check_pair
+from gridemd.grid import check_mass, check_pair, check_shape
 from tests._util import random_grid
 
 
@@ -200,6 +203,35 @@ def test_check_pair():
         check_pair(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 0)))
     with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):
         check_pair(GridHistogram(1, 2, (1, 0)), GridHistogram(1, 2, (1, 1)))
+    # Its two halves: check_mass takes the excess from the caller and sums
+    # the grids only to word its message.
+    assert check_shape(p, q) is None
+    with pytest.raises(DimensionMismatchError, match=r"^grids are 2x2 vs 1x4$"):
+        check_shape(p, GridHistogram(1, 4, q.cells))
+    assert check_mass(p, q, 0) is None
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 6 vs 0$"):
+        check_mass(p, GridHistogram(2, 2, (0, 0, 0, 0)), 6)
+
+
+def test_measures_sum_no_grid_on_success(monkeypatch):
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return sum(g.cells)
+
+    monkeypatch.setattr(grid_module, "total_mass", counted)
+    p = GridHistogram.from_rows([[3, 0, 0], [1, 2, 0]])
+    q = GridHistogram.from_rows([[0, 0, 1], [0, 2, 3]])
+    assert mwd_exact(p, q).distance == 10
+    assert qmwd(p, q).qmwd >= 0
+    assert calls == []
+    # Only a mismatch sums the grids, to word its message.
+    heavy = GridHistogram.from_rows([[0, 0, 1], [0, 2, 4]])
+    for measure in (mwd_exact, qmwd):
+        with pytest.raises(MassMismatchError, match=r"^total masses differ: 6 vs 7$"):
+            measure(p, heavy)
+    assert calls == [p, heavy, p, heavy]
 
 
 def test_format_grid_round_trips():

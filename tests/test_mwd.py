@@ -59,8 +59,17 @@ def test_worked_examples():
 def test_errors():
     with pytest.raises(DimensionMismatchError):
         mwd_exact(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 0)))
-    with pytest.raises(MassMismatchError):
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):
         mwd_exact(GridHistogram(1, 2, (1, 0)), GridHistogram(1, 2, (1, 1)))
+    # The shape is checked before the mass.
+    with pytest.raises(DimensionMismatchError, match=r"^grids are 1x2 vs 2x1$"):
+        mwd_exact(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 1)))
+    # Exactly one all-zero grid.
+    zero, heavy = GridHistogram(1, 3, (0, 0, 0)), GridHistogram(1, 3, (0, 2, 1))
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 0 vs 3$"):
+        mwd_exact(zero, heavy)
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 3 vs 0$"):
+        mwd_exact(heavy, zero)
     with pytest.raises(ValueError, match=r"^reference limited to mass 12, got 13$"):
         assignment_distance(GridHistogram(1, 2, (13, 0)), GridHistogram(1, 2, (0, 13)))
 

@@ -137,5 +137,14 @@ def test_all_zero_pair_is_zero():
 def test_errors():
     with pytest.raises(DimensionMismatchError):
         qmwd(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 0)))
-    with pytest.raises(MassMismatchError):
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):
         qmwd(GridHistogram(1, 2, (1, 0)), GridHistogram(1, 2, (1, 1)))
+    # The shape is checked before the mass.
+    with pytest.raises(DimensionMismatchError, match=r"^grids are 1x2 vs 2x1$"):
+        qmwd(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 1)))
+    # Exactly one all-zero grid.
+    zero, heavy = GridHistogram(2, 2, (0, 0, 0, 0)), GridHistogram(2, 2, (0, 2, 1, 0))
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 0 vs 3$"):
+        qmwd(zero, heavy)
+    with pytest.raises(MassMismatchError, match=r"^total masses differ: 3 vs 0$"):
+        qmwd(heavy, zero)
