@@ -17,10 +17,10 @@ from typing import Callable, Sequence, TextIO, TypeVar
 from .bench import SweepConfig, aggregate, emit_records_csv, read_records_csv, run_sweep
 from .charts import emit_svg
 from .errors import EmptyInputError, InputFormatError, PreconditionError
-from .grid import GridHistogram, check_mass, check_shape, parse_grid
+from .grid import GridHistogram, check_shape, parse_grid
 from .mwd import mwd_exact
 from .qmwd import qmwd
-from .wd1d import prefix_work
+from .wd1d import checked_prefix_work
 
 # Not called here; perfbench/tracing.py rebinds this name on this module.
 from .wd1d import wd_1d  # noqa: F401
@@ -134,9 +134,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
             plan_rows = [[*mv.src, *mv.dst, mv.amount] for mv in res.plan]
     if args.metric in ("wdvec", "all"):
         check_shape(p, q)
-        d = tuple(map(sub, p.cells, q.cells))
-        check_mass(p, q, sum(d))
-        out["wd_vec"] = prefix_work(d)
+        out["wd_vec"] = checked_prefix_work(p, q, tuple(map(sub, p.cells, q.cells)))
     if args.metric in ("qmwd", "all"):
         out["qmwd"] = qmwd(p, q).qmwd
 

@@ -82,9 +82,19 @@ class GridHistogram:
         return [list(self.cells[i * n : (i + 1) * n]) for i in range(self.rows)]
 
 
+# Every decimal spelling "0".."999" -> its int. A dict lookup per token
+# costs about a third of what int() does; the table never changes or grows.
+_TOKEN_INTS = {str(v): v for v in range(1000)}
+
+
 def parse_grid(text: str) -> GridHistogram:
     """Parse grid text: one row per line, whitespace- or comma-separated
     nonnegative decimal integers. Blank lines are ignored.
+
+    Tokens convert through a fixed table of "0".."999"; a line holding any
+    other token (leading zeros, 1000 or more) is converted again with
+    ``int``. Either way each cell is ``int(token)``, and the table is built
+    once at import, so parsing keeps no state that grows.
     """
     flat: list[int] = []
     ncols = -1
@@ -102,15 +112,21 @@ def parse_grid(text: str) -> GridHistogram:
         if not (joined.isascii() and joined.isdigit()):
             bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
             raise BadTokenError(f"line {lineno}: bad token {bad!r}")
+        start = len(flat)
         try:
-            flat.extend(map(int, tokens))
-        except ValueError:
-            # Only a token past the interpreter's int digit limit (4300
-            # digits by default) gets here; it is not echoed.
-            longest = max(map(len, tokens))
-            raise BadTokenError(
-                f"line {lineno}: a {longest}-digit token is over the int digit limit"
-            ) from None
+            flat.extend(map(_TOKEN_INTS.__getitem__, tokens))
+        except KeyError:
+            # extend kept the cells before the miss; the line starts over.
+            del flat[start:]
+            try:
+                flat.extend(map(int, tokens))
+            except ValueError:
+                # Only a token past the interpreter's int digit limit (4300
+                # digits by default) gets here; it is not echoed.
+                longest = max(map(len, tokens))
+                raise BadTokenError(
+                    f"line {lineno}: a {longest}-digit token is over the int digit limit"
+                ) from None
     if not flat:
         raise EmptyGridError("grid text contains no rows")
     return GridHistogram(len(flat) // ncols, ncols, tuple(flat))

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import sub
 
-from .grid import GridHistogram, check_mass, check_shape
-from .wd1d import prefix_work
+from .grid import GridHistogram, check_shape
+from .wd1d import checked_prefix_work, prefix_work
 
 # Not called here; perfbench/tracing.py rebinds these names on this module.
 from .grid import rotate90  # noqa: F401
@@ -62,17 +62,16 @@ def qmwd(p: GridHistogram, q: GridHistogram) -> QmwdBreakdown:
 
     Requires identical shapes and equal total mass; a pair of all-zero
     grids is allowed and yields an all-zero breakdown. The shape is checked
-    first, then the mass, as ``sum(d) == 0`` on the difference ``d = p - q``
-    the passes read anyway.
+    first, then the mass, as the last prefix sum of the row-major pass over
+    the difference ``d = p - q``.
     """
     check_shape(p, q)
     d = tuple(map(sub, p.cells, q.cells))
-    check_mass(p, q, sum(d))
+    wd_row = checked_prefix_work(p, q, d)
     # The transposed grid's row-major vectorization is the columns in order;
     # the quarter-turned grid's is the same columns in reverse order.
     cols = p.cols
     d_cols = [d[j::cols] for j in range(cols)]
-    wd_row = prefix_work(d)
     wd_rot = prefix_work(chain.from_iterable(reversed(d_cols)))
     wd_transp = prefix_work(chain.from_iterable(d_cols))
     # Row-major rows have length cols; the rotated and transposed grids are

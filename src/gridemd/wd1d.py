@@ -23,6 +23,7 @@ from .errors import (
     NegativeEntryError,
     PreconditionError,
 )
+from .grid import GridHistogram, check_mass
 
 
 def wd_1d(a: Sequence[int], b: Sequence[int]) -> int:
@@ -60,3 +61,14 @@ def prefix_work(d: Iterable[int]) -> int:
     equal-mass vectors does; otherwise the result is meaningless.
     """
     return sum(map(abs, accumulate(d)))
+
+
+def checked_prefix_work(p: GridHistogram, q: GridHistogram, d: Sequence[int]) -> int:
+    """``prefix_work(d)`` for the difference ``d = p - q`` of two grids of one
+    shape, after ``check_mass`` on the last prefix sum, which is ``d``'s total.
+
+    The pair's mass check and its row-major work thus share one pass.
+    """
+    acc = list(accumulate(d))
+    check_mass(p, q, acc[-1])
+    return sum(map(abs, acc))

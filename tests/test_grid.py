@@ -123,6 +123,38 @@ def test_parse_grid_bad_tokens():
         parse_grid("1 2\n3 " + "4" * 5000)
 
 
+def test_parse_grid_tokens_outside_the_table():
+    # "0".."999" convert through a table; any other digit string takes int()
+    # for its whole line, so every cell is int(token) either way.
+    for token in ("0", "999", "1000", "007", "0000", "9" * 4300):
+        assert parse_grid(token).cells == (int(token),)
+        assert parse_grid(f"1 {token}\n{token} 2").cells == (1, int(token), int(token), 2)
+    # A miss mid-line: the cells the table pass appended before it are dropped.
+    g = parse_grid("1 2 1000 3")
+    assert g.shape == (1, 4)
+    assert g.cells == (1, 2, 1000, 3)
+    g = parse_grid("5 6 7 8\n1 2 1000 3\n9 08 0 4")
+    assert g.shape == (3, 4)
+    assert g.cells == (5, 6, 7, 8, 1, 2, 1000, 3, 9, 8, 0, 4)
+
+
+def test_parse_grid_error_precedence():
+    # The shape of a line is checked before its tokens, and the first bad
+    # line wins, whichever conversion its tokens would take.
+    with pytest.raises(RaggedRowsError, match=r"^line 2: 3 tokens, expected 2$"):
+        parse_grid("1 2\n3 x 1000")
+    with pytest.raises(BadTokenError, match=r"^line 2: bad token 'x'$"):
+        parse_grid("1 2\n1000 x\n3")
+    with pytest.raises(BadTokenError, match=r"^line 2: bad token '-1'$"):
+        parse_grid("1 2\n007 -1\n" + "4" * 5000 + " 1")
+    # Table tokens before an overlong one on the same line do not change
+    # which line the digit-limit error names.
+    with pytest.raises(
+        BadTokenError, match=r"^line 3: a 5000-digit token is over the int digit limit$"
+    ):
+        parse_grid("1 2 3\n4 5 6\n7 8 " + "4" * 5000)
+
+
 def test_cells_are_row_major():
     assert GridHistogram.from_rows([[1, 2], [3, 4]]).cells == (1, 2, 3, 4)
     assert GridHistogram(1, 1, (7,)).cells == (7,)
@@ -238,5 +270,13 @@ def test_format_grid_round_trips():
     rng = random.Random(503)
     for _ in range(30):
         g = random_grid(rng, rng.randrange(1, 5), rng.randrange(1, 5), 25)
+        assert parse_grid(format_grid(g)) == g
+        assert parse_grid(format_grid(g, sep=",")) == g
+    # Cells on both sides of parse_grid's table bound, mixed within lines.
+    rng = random.Random(504)
+    for _ in range(60):
+        rows, cols = rng.randrange(1, 7), rng.randrange(1, 7)
+        top = rng.choice((9, 999, 1000, 10**6))
+        g = GridHistogram(rows, cols, tuple(rng.randint(0, top) for _ in range(rows * cols)))
         assert parse_grid(format_grid(g)) == g
         assert parse_grid(format_grid(g, sep=",")) == g

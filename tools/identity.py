@@ -16,7 +16,8 @@ The dump holds, per entry of the corpus:
   and 20 128x128 pairs of 32 point masses of 100;
 - the same three measures on each small pair before its masses are made
   equal, which mostly raise ``MassMismatchError``;
-- the type and message of every error on a list of bad inputs;
+- the type and message of every error on a list of bad inputs, and the
+  result of a few good inputs appended to that list;
 - ``gridemd dist``, ``bench`` and ``plot`` stdout, stderr and exit code, with
   bench's time columns dropped, on good and bad files (text that is not
   UTF-8, records with non-finite errors among them);
@@ -212,6 +213,9 @@ def _errors() -> Iterator[tuple[str, Any]]:
         ),
         (G, (1, 2, [1, 0])),
         (G, (1, 1, None)),
+        # Two successes: tokens outside parse_grid's "0".."999" table.
+        (gridemd.parse_grid, ("007 0\n1 0010",)),
+        (gridemd.parse_grid, ("1 2 1000 3\n4 5 6 7",)),
     ]
     for i, case in enumerate(cases):
         if case is not None:
