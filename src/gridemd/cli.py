@@ -11,13 +11,12 @@ import argparse
 import json
 import sys
 from dataclasses import fields
-from operator import sub
 from typing import Callable, Sequence, TextIO, TypeVar
 
 from .bench import SweepConfig, aggregate, emit_records_csv, read_records_csv, run_sweep
 from .charts import emit_svg
 from .errors import EmptyInputError, InputFormatError, PreconditionError
-from .grid import GridHistogram, check_shape, parse_grid
+from .grid import GridHistogram, parse_grid
 from .mwd import mwd_exact
 from .qmwd import qmwd
 from .wd1d import checked_prefix_work
@@ -133,8 +132,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
         if args.plan:
             plan_rows = [[*mv.src, *mv.dst, mv.amount] for mv in res.plan]
     if args.metric in ("wdvec", "all"):
-        check_shape(p, q)
-        out["wd_vec"] = checked_prefix_work(p, q, tuple(map(sub, p.cells, q.cells)))
+        out["wd_vec"] = checked_prefix_work(p, q)[1]
     if args.metric in ("qmwd", "all"):
         out["qmwd"] = qmwd(p, q).qmwd
 

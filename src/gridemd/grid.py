@@ -91,14 +91,22 @@ def parse_grid(text: str) -> GridHistogram:
     """Parse grid text: one row per line, whitespace- or comma-separated
     nonnegative decimal integers. Blank lines are ignored.
 
-    Tokens convert through a fixed table of "0".."999"; a line holding any
-    other token (leading zeros, 1000 or more) is converted again with
-    ``int``. Either way each cell is ``int(token)``, and the table is built
-    once at import, so parsing keeps no state that grows.
+    Two commas with only whitespace between them, or a comma first or last
+    on a line, leave a field empty: a ``BadTokenError``, raised before the
+    line's token count is checked.
+
+    Tokens convert through a fixed table of "0".."999", which vouches for
+    every token it maps. Only a line holding any other token (leading
+    zeros, 1000 or more) is checked token by token for ASCII digits and
+    converted again with ``int``. Either way each cell is ``int(token)``,
+    and the table is built once at import, so parsing keeps no state that
+    grows.
     """
     flat: list[int] = []
     ncols = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
+        if "," in raw and "" in map(str.strip, raw.split(",")):
+            raise BadTokenError(f"line {lineno}: empty comma-separated field")
         tokens = raw.replace(",", " ").split()
         if not tokens:
             continue
@@ -108,16 +116,16 @@ def parse_grid(text: str) -> GridHistogram:
             raise RaggedRowsError(
                 f"line {lineno}: {len(tokens)} tokens, expected {ncols}"
             )
-        joined = "".join(tokens)
-        if not (joined.isascii() and joined.isdigit()):
-            bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
-            raise BadTokenError(f"line {lineno}: bad token {bad!r}")
         start = len(flat)
         try:
             flat.extend(map(_TOKEN_INTS.__getitem__, tokens))
         except KeyError:
             # extend kept the cells before the miss; the line starts over.
             del flat[start:]
+            joined = "".join(tokens)
+            if not (joined.isascii() and joined.isdigit()):
+                bad = next(t for t in tokens if not (t.isascii() and t.isdigit()))
+                raise BadTokenError(f"line {lineno}: bad token {bad!r}") from None
             try:
                 flat.extend(map(int, tokens))
             except ValueError:
@@ -179,19 +187,6 @@ def check_mass(p: GridHistogram, q: GridHistogram, excess: int) -> None:
         raise MassMismatchError(
             f"total masses differ: {total_mass(p)} vs {total_mass(q)}"
         )
-
-
-def check_pair(p: GridHistogram, q: GridHistogram) -> None:
-    """Check that two grids can be compared: DimensionMismatchError for
-    different shapes, then MassMismatchError for different totals.
-
-    Every distance measure on a pair of grids makes these two checks in
-    this order, with the same errors and messages; each runs
-    ``check_shape`` first and then ``check_mass`` on the difference or the
-    support it builds anyway, so none sums a whole grid on success.
-    """
-    check_shape(p, q)
-    check_mass(p, q, total_mass(p) - total_mass(q))
 
 
 def format_grid(g: GridHistogram, sep: str = " ") -> str:

@@ -109,13 +109,13 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     distance.
 
     The shape is checked first (DimensionMismatchError), then the mass
-    (MassMismatchError), with ``check_pair``'s messages. Two ``compress``
-    calls over the module's index tuple ``0, 1, ..., N-1`` find the pair's
-    support, and one loop over it builds the stay-put moves and the surplus
-    and deficit lists, whose totals give the mass check, so no full grid is
-    summed unless the masses differ. The shipped moves and the bipartite
-    engine's input are built from the support too, the grid engine alone
-    gets the full ``p - q``, and the distance is ``plan_cost`` of the plan.
+    (MassMismatchError). Two ``compress`` calls over the module's index
+    tuple ``0, 1, ..., N-1`` find the pair's support, and one loop over it
+    builds the stay-put moves and the surplus and deficit lists, whose
+    totals give the mass check, so no full grid is summed unless the masses
+    differ. The shipped moves and the bipartite engine's input are built
+    from the support too, the grid engine alone gets the full ``p - q``,
+    and the distance is ``plan_cost`` of the plan.
     The tuple is built on the first call and rebuilt only for a larger grid,
     and it stays alive: about 40 B per cell of the largest grid seen, 0.62
     MiB after a 128x128 call (tracemalloc).

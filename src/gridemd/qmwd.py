@@ -22,9 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
-from operator import sub
 
-from .grid import GridHistogram, check_shape
+from .grid import GridHistogram
 from .wd1d import checked_prefix_work, prefix_work
 
 # Not called here; perfbench/tracing.py rebinds these names on this module.
@@ -65,9 +64,7 @@ def qmwd(p: GridHistogram, q: GridHistogram) -> QmwdBreakdown:
     first, then the mass, as the last prefix sum of the row-major pass over
     the difference ``d = p - q``.
     """
-    check_shape(p, q)
-    d = tuple(map(sub, p.cells, q.cells))
-    wd_row = checked_prefix_work(p, q, d)
+    d, wd_row = checked_prefix_work(p, q)
     # The transposed grid's row-major vectorization is the columns in order;
     # the quarter-turned grid's is the same columns in reverse order.
     cols = p.cols

@@ -23,7 +23,7 @@ from .errors import (
     NegativeEntryError,
     PreconditionError,
 )
-from .grid import GridHistogram, check_mass
+from .grid import GridHistogram, check_mass, check_shape
 
 
 def wd_1d(a: Sequence[int], b: Sequence[int]) -> int:
@@ -63,12 +63,15 @@ def prefix_work(d: Iterable[int]) -> int:
     return sum(map(abs, accumulate(d)))
 
 
-def checked_prefix_work(p: GridHistogram, q: GridHistogram, d: Sequence[int]) -> int:
-    """``prefix_work(d)`` for the difference ``d = p - q`` of two grids of one
-    shape, after ``check_mass`` on the last prefix sum, which is ``d``'s total.
+def checked_prefix_work(p: GridHistogram, q: GridHistogram) -> tuple[tuple[int, ...], int]:
+    """The difference ``d = p - q`` of two grids, cell by cell in row-major
+    order, and ``prefix_work(d)``, after the pair's checks: ``check_shape``,
+    then ``check_mass`` on the last prefix sum, which is ``d``'s total.
 
-    The pair's mass check and its row-major work thus share one pass.
+    The mass check and the row-major work thus share one pass over ``d``.
     """
+    check_shape(p, q)
+    d = tuple(map(sub, p.cells, q.cells))
     acc = list(accumulate(d))
     check_mass(p, q, acc[-1])
-    return sum(map(abs, acc))
+    return d, sum(map(abs, acc))

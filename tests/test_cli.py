@@ -69,8 +69,11 @@ def test_dist_missing_file(grid_files, capsys):
 def test_dist_malformed_grid(tmp_path, grid_files, capsys):
     fp, _ = grid_files
     bad = tmp_path / "bad.txt"
-    # A bad token; not UTF-8; a token over int()'s 4300-digit limit.
-    for content in (b"1 zebra\n", b"\xff\xfe1 2\n", b"1 " + b"9" * 5000 + b"\n"):
+    # A bad token, also after a token outside the table; not UTF-8; a token
+    # over int()'s 4300-digit limit; an empty comma-separated field.
+    for content in (
+        b"1 zebra\n", b"007 x\n", b"\xff\xfe1 2\n", b"1 " + b"9" * 5000 + b"\n", b"1,,2\n",
+    ):
         bad.write_bytes(content)
         assert main(["dist", fp, str(bad)]) == 2
         err = capsys.readouterr().err.splitlines()

@@ -24,7 +24,7 @@ from gridemd import (
     total_mass,
     transpose,
 )
-from gridemd.grid import check_mass, check_pair, check_shape
+from gridemd.grid import check_mass, check_shape
 from tests._util import random_grid
 
 
@@ -94,6 +94,7 @@ def test_parse_grid_commas_and_blank_lines():
     g = parse_grid("1,2,3\n\n4, 5, 6\n")
     assert g.shape == (2, 3)
     assert g.cells == (1, 2, 3, 4, 5, 6)
+    assert parse_grid("1 ,2\n3, 4").cells == (1, 2, 3, 4)
 
 
 def test_parse_grid_ragged():
@@ -116,6 +117,10 @@ def test_parse_grid_bad_tokens():
             parse_grid(text)
     with pytest.raises(BadTokenError, match=r"^line 1: bad token 'x'$"):
         parse_grid("1 2 x y")
+    # A comma-separated field with no token would drop a cell from its line.
+    for text in ("1,,2\n3,,4", "1, ,2", "1,2,", ",1,2", "1 2\n3,\t,4", ","):
+        with pytest.raises(BadTokenError, match=r"^line \d: empty comma-separated field$"):
+            parse_grid(text)
     # int() refuses more than 4300 digits by default; the error names the
     # line and the token's length, not the token.
     assert parse_grid("1 2\n3 " + "4" * 4300).cells[-1] == int("4" * 4300)
@@ -147,6 +152,9 @@ def test_parse_grid_error_precedence():
         parse_grid("1 2\n1000 x\n3")
     with pytest.raises(BadTokenError, match=r"^line 2: bad token '-1'$"):
         parse_grid("1 2\n007 -1\n" + "4" * 5000 + " 1")
+    # An empty comma field is named before the token count it shortens.
+    with pytest.raises(BadTokenError, match=r"^line 2: empty comma-separated field$"):
+        parse_grid("1 2 3\n4,,5\n6")
     # Table tokens before an overlong one on the same line do not change
     # which line the digit-limit error names.
     with pytest.raises(
@@ -225,18 +233,11 @@ def test_total_mass():
     assert total_mass(GridHistogram(3, 3, (0,) * 9)) == 0
 
 
-def test_check_pair():
+def test_check_shape_and_check_mass():
     p = GridHistogram.from_rows([[3, 0], [1, 2]])
     q = GridHistogram.from_rows([[1, 2], [0, 3]])
-    assert check_pair(p, q) is None
-    with pytest.raises(DimensionMismatchError, match=r"^grids are 2x2 vs 1x4$"):
-        check_pair(p, GridHistogram(1, 4, q.cells))
-    with pytest.raises(DimensionMismatchError, match=r"^grids are 1x2 vs 2x1$"):
-        check_pair(GridHistogram(1, 2, (1, 0)), GridHistogram(2, 1, (1, 0)))
-    with pytest.raises(MassMismatchError, match=r"^total masses differ: 1 vs 2$"):
-        check_pair(GridHistogram(1, 2, (1, 0)), GridHistogram(1, 2, (1, 1)))
-    # Its two halves: check_mass takes the excess from the caller and sums
-    # the grids only to word its message.
+    # check_mass takes the excess from the caller and sums the grids only to
+    # word its message.
     assert check_shape(p, q) is None
     with pytest.raises(DimensionMismatchError, match=r"^grids are 2x2 vs 1x4$"):
         check_shape(p, GridHistogram(1, 4, q.cells))
