@@ -32,10 +32,11 @@ every plan amount are exact ints. Both engines give the same distance; when
 several plans are optimal they may return different ones.
 
 Both engines stay because neither is fast on the other's inputs: on 128x128
-grids of 32 point masses of 100 the grid engine's solve takes 100-210 ms
-(median 150, 16 pairs) and the bipartite one's 0.3-1.4 ms (median 0.6, 64
-pairs, best of 5 calls), while on 12x12 grids with cells 0..9 the grid
-engine is 2-7x faster (median 3.4x, 32 pairs, best of 3; 2-vCPU Xeon host).
+grids of 32 point masses of 100 the grid engine's solve takes 84-166 ms
+(median 130, best of 3 calls) and the bipartite one's 0.47-1.2 ms (median
+0.73, best of 5) on the same 16 pairs, while on 12x12 grids with cells
+0..9 the grid engine is 2.5-10x faster (median 5.0x, 32 pairs, best of 3;
+2-vCPU Xeon host).
 """
 
 from __future__ import annotations
@@ -54,17 +55,21 @@ Cell = tuple[int, int]
 
 # The grid engine runs when surplus cells x deficit cells exceeds this many
 # times the cell count. Measured crossovers (both engines' solves on the same
-# pairs, best of 3 each, medians by ratio): on 160 uniform 8x8 to 20x20 grids
-# with cells 0..1 to 0..3 the bipartite engine is 1.6x faster at ratios 4-6
-# and 1.15x at 6-8, the grid engine 1.06x faster at 8-10 and 1.4x at 12-14;
-# on 100 24x24 to 64x64 grids of uneven point masses the bipartite engine is
-# 1.6x faster at 4-6 and 1.1x at 6-8, the grid engine 1.06x faster at 8-10
-# and 1.35x at 10-12; on 8x8 and 12x12 grids with cells 0..9 (ratios 10-16
-# and 26-32) the grid engine is 1.6-1.9x and 3.2-4.4x faster.
-GRID_ENGINE_RATIO = 8
+# pairs, best of 3 each, medians of bipartite time / grid time by ratio): on
+# 200 uniform 7x7 to 14x14 grids with cells 0..1 to 0..3, 0.92 at ratios 4-5,
+# 1.06 at 5-6, 1.18 at 6-7 and 1.36-1.51 at 7-10; on 100 24x24 to 64x64 grids
+# of uneven point masses, 0.91 at 4-5, 1.24 at 5-6 and 1.24-1.77 at 6-10; on
+# 8x8 and 12x12 grids with cells 0..9 (ratios 11-15 and 27-33), 2.2 and 4.6.
+GRID_ENGINE_RATIO = 5
 
 # 0, 1, ..., N - 1 for the largest grid seen so far; see ``mwd_exact``.
 _index: tuple[int, ...] = ()
+
+# A step of the grid graph, (head, edge, sign, tail); see ``_grid_arcs``.
+Step = tuple[int, int, int, int]
+
+# (rows, cols) and the grid graph of the last shape solved; see ``_grid_arcs``.
+_arcs: tuple[tuple[int, int], list[list[Step]]] = ((0, 0), [])
 
 
 class Move(NamedTuple):
@@ -114,8 +119,9 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     builds the stay-put moves and the surplus and deficit lists, whose
     totals give the mass check, so no full grid is summed unless the masses
     differ. The shipped moves and the bipartite engine's input are built
-    from the support too, the grid engine alone gets the full ``p - q``,
-    and the distance is ``plan_cost`` of the plan.
+    from the support too, and the grid engine alone gets the full ``p -
+    q``. The distance is the plan's cost, summed over the shipped moves
+    alone, since stay-put moves cost 0.
     The tuple is built on the first call and rebuilt only for a larger grid,
     and it stays alive: about 40 B per cell of the largest grid seen, 0.62
     MiB after a 128x128 call (tracemalloc).
@@ -147,9 +153,13 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     else:
         shipped = _solve_transport(sup, dem, cell)
 
-    moves += [Move(cell[s], cell[t], amt) for (s, t), amt in shipped.items()]
+    distance = 0  # stay-put moves cost 0
+    for (s, t), amt in shipped.items():
+        a, b = cell[s], cell[t]
+        distance += amt * (abs(a[0] - b[0]) + abs(a[1] - b[1]))
+        moves.append(Move(a, b, amt))
     moves.sort()  # each (src, dst) occurs once, so amounts are never compared
-    return MwdResult(plan_cost(moves), tuple(moves))
+    return MwdResult(distance, tuple(moves))
 
 
 def _solve_transport(
@@ -278,22 +288,32 @@ def _solve_transport(
     }
 
 
-def _grid_arcs(rows: int, cols: int) -> list[list[tuple[int, int, int]]]:
-    """Neighbours ``(cell, edge, sign)`` of every cell of the 4-neighbour
-    grid graph.
+def _grid_arcs(rows: int, cols: int) -> list[list[Step]]:
+    """Steps ``(head, edge, sign, tail)`` of the 4-neighbour grid graph:
+    ``adj[u]`` lists the steps out of cell u, so each has tail u.
 
     Edge e joins a cell to its right neighbour when e < rows * cols - rows,
     else to its lower one. ``sign`` is +1 when the step runs from the edge's
     lower flat index to its higher one and -1 the other way, so ``sign *
     flow[e]`` is the flow along the step.
+
+    The graph of the last shape asked for stays in ``_arcs`` and is returned
+    again while calls keep that shape; callers only read it. It holds about
+    64 KiB at 12x12, 2.2 MiB at 64x64 and 8.9 MiB at 128x128 (tracemalloc,
+    Python 3.11) until a grid of another shape replaces it.
     """
+    global _arcs
+    shape, adj = _arcs  # one read, so a concurrent call cannot mix two shapes
+    if shape == (rows, cols):
+        return adj
     n = rows * cols
     edges = [(u, u + 1) for u in range(n) if (u + 1) % cols]
     edges += [(u, u + cols) for u in range(n - cols)]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
+    adj = [[] for _ in range(n)]
     for e, (u, w) in enumerate(edges):
-        adj[u].append((w, e, 1))
-        adj[w].append((u, e, -1))
+        adj[u].append((w, e, 1, u))
+        adj[w].append((u, e, -1, w))
+    _arcs = ((rows, cols), adj)
     return adj
 
 
@@ -324,12 +344,30 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     the same forest shares; that step then costs 1 and is no longer tight.
     So the walk re-checks each step against the current ``flow``, and a
     sink whose path is no longer tight, or whose root has no surplus left,
-    waits for the next round. The first sink walks back before anything is
-    pushed, so every round moves at least one unit and the rounds end.
+    waits for the next round without a push. The first sink walks back
+    before anything is pushed, so every round moves at least one unit and
+    the rounds end; a round that moves none raises AssertionError rather
+    than repeat itself. Each push lowers ``surplus``, the total surplus
+    left, and a round that stops at D = 0 leaves the potentials as they
+    are, since adding 0 changes none.
+
+    The potentials keep every residual step's reduced cost at 0, 1 or 2. A
+    step across an edge without flow costs 1, and so does the step back, so
+    the two reduced costs, ``1 + pot[u] - pot[w]`` and ``1 + pot[w] -
+    pot[u]``, are nonnegative and sum to 2. Across an edge that carries
+    flow, the step along the flow costs 1 and the step back -1; both
+    reduced costs are nonnegative and sum to 0, so both are 0 and
+    ``pot[w] = pot[u] + 1`` along the flow. So a step is tight exactly when
+    its edge carries flow or ``pot[w] == pot[u] + 1``, and neither the
+    search nor the walk needs the flow's direction to price a step. A
+    shortest path has at most n - 1 steps, so every distance is below 2n,
+    the int that marks a cell not reached yet.
 
     Reduced distances are small nonnegative ints, so Dijkstra keeps its
     queue as Dial's buckets (CACM 1969), one list per distance, read in
     order; an entry whose cell has since got a shorter distance is skipped.
+    A cell settled at distance du relaxes to at most du + 2, so the list
+    grows to du + 3 buckets once per level that holds entries.
     D and the potentials do not depend on the order of ties; the plan may.
 
     Every step costs at least 1, so an optimal flow has no cycle and splits
@@ -342,19 +380,24 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     flow = [0] * (2 * n - rows - cols)
     exc = list(d)
     pot = [0] * n
-    inf = float("inf")
+    surplus = sum(v for v in d if v > 0)
+    far = 2 * n  # more than any distance
 
-    while sources := [u for u, v in enumerate(exc) if v > 0]:
-        left = sum(exc[u] for u in sources)
-        dist: list[int | float] = [inf] * n
+    while surplus:
+        sources = [u for u, v in enumerate(exc) if v > 0]
+        left = surplus
+        dist = [far] * n
         for u in sources:
             dist[u] = 0
-        via: list[tuple[int, int, int] | None] = [None] * n
+        via: list[Step | None] = [None] * n
         sinks = []
         # buckets[k] holds the cells whose distance fell to k; zero-cost steps
         # append to the bucket being read.
         buckets = [sources]
         for du, bucket in enumerate(buckets):
+            if bucket:
+                while len(buckets) < du + 3:
+                    buckets.append([])
             for u in bucket:
                 if dist[u] != du:
                     continue
@@ -363,41 +406,49 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
                     left += exc[u]
                     if left <= 0:
                         break
-                base = du + pot[u]
+                base = du + 1 + pot[u]
                 for step in adj[u]:
-                    w, e, sign = step
-                    if dist[w] <= du:
+                    w = step[0]
+                    dw = dist[w]
+                    if dw <= du:
                         continue  # reduced costs are >= 0, so alt >= du
-                    alt = base - pot[w] + (-1 if flow[e] * sign < 0 else 1)
-                    if alt < dist[w]:
+                    if flow[step[1]]:  # a tight step: alt = du
+                        dist[w] = du
+                        via[w] = step
+                        bucket.append(w)
+                    elif (alt := base - pot[w]) < dw:
                         dist[w] = alt
                         via[w] = step
-                        while len(buckets) <= alt:
-                            buckets.append([])
                         buckets[alt].append(w)
             else:
                 continue  # the deficits settled so far cannot take every surplus
             break  # they can: du is the stop distance
         else:
             raise AssertionError("balanced flow instance became infeasible")
-        pot = [p + (x if x < du else du) for p, x in zip(pot, dist)]
+        if du:
+            pot = [p + (x if x < du else du) for p, x in zip(pot, dist)]
 
+        before = surplus
         for t in sinks:
             path, w = [], t
             while step := via[w]:
-                _, e, sign = step
-                u = w - sign * (1 if e < n - rows else cols)  # the step's tail
-                if pot[w] != pot[u] + (-1 if flow[e] * sign < 0 else 1):
+                _, e, _, u = step
+                if not (flow[e] or pot[w] == pot[u] + 1):
                     break  # an earlier push this round used up this cancel step
                 path.append(step)
                 w = u
             else:
-                cancelled = (b for _, e, sign in path if (b := -sign * flow[e]) > 0)
-                delta = min(exc[w], -exc[t], *cancelled)  # 0 once the root w has no surplus left
-                for _, e, sign in path:
+                if not exc[w]:
+                    continue  # the root w has no surplus left
+                cancelled = (b for _, e, sign, _ in path if (b := -sign * flow[e]) > 0)
+                delta = min(exc[w], -exc[t], *cancelled)
+                for _, e, sign, _ in path:
                     flow[e] += sign * delta
                 exc[w] -= delta
                 exc[t] += delta
+                surplus -= delta
+        if surplus == before:
+            raise AssertionError("a round pushed no flow")
 
     shipped: dict[tuple[int, int], int] = {}
     rest = list(d)
@@ -411,13 +462,13 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
                 while out[i][2] * flow[out[i][1]] <= 0:
                     i += 1
                 ptr[u] = i
-                u, e, sign = out[i]
+                u, e, sign, _ = out[i]
                 if sign * flow[e] < amt:
                     amt = sign * flow[e]
                 path.append(out[i])
             if -rest[u] < amt:
                 amt = -rest[u]
-            for _, e, sign in path:
+            for _, e, sign, _ in path:
                 flow[e] -= sign * amt
             rest[s] -= amt
             rest[u] += amt

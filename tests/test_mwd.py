@@ -275,22 +275,28 @@ def test_size_rule_picks_engine(monkeypatch):
     sparse = _point_mass_pair(rng, 128, 128, 32, 100)
     dense = _uniform_pair(rng, 12, 12, 9)
     zero = GridHistogram(3, 4, (0,) * 12)
-    # 1x48 alternating units: S * D = 576 > GRID_ENGINE_RATIO * 48 = 384, each
-    # unit moves one step.
-    row_p = GridHistogram(1, 48, (1, 0) * 24)
-    row_q = GridHistogram(1, 48, (0, 1) * 24)
+    # 1x2k alternating units, each moving one step: S * D = k * k against
+    # GRID_ENGINE_RATIO * 2k = 10k, so k = 11 is the first k above the rule
+    # and k = 10 the last at it.
+    def alternating(k):
+        return GridHistogram(1, 2 * k, (1, 0) * k), GridHistogram(1, 2 * k, (0, 1) * k)
+
+    row_p, row_q = alternating(24)
     for (p, q), engine in (
         (sparse, "_solve_transport"),
         (dense, "_solve_grid"),
         ((zero, zero), "_solve_transport"),
         ((row_p, row_q), "_solve_grid"),
         ((row_p, row_p), "_solve_transport"),
+        (alternating(11), "_solve_grid"),
+        (alternating(10), "_solve_transport"),
     ):
         used, res = _engine_used(monkeypatch, p, q)
         assert used == [engine]
         assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
         assert plan_cost(res.plan) == res.distance
-    assert mwd_exact(row_p, row_q).distance == 24
+    for k in (10, 11, 24):
+        assert mwd_exact(*alternating(k)).distance == k
 
 
 def test_sparse_engine_reroutes_shipped_flow(monkeypatch):
@@ -461,6 +467,26 @@ def test_support_index_is_shared_across_grid_sizes(monkeypatch):
         assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
         want = 3 * 254 if p.rows == 128 else assignment_distance(p, q)
         assert res.distance == plan_cost(res.plan) == want
+
+
+def test_grid_graph_cache_follows_the_shape(monkeypatch):
+    # _solve_grid keeps the grid graph of the last shape it solved. Shapes
+    # with the same cell count have different graphs (3x5 and 5x3 even have
+    # the same edge count), so reusing one for another would misprice or
+    # break the solve. The ratio is set to 0 so that these small pairs take
+    # the grid engine.
+    monkeypatch.setattr(mwd_module, "_arcs", ((0, 0), []))
+    monkeypatch.setattr(mwd_module, "GRID_ENGINE_RATIO", 0)
+    rng = random.Random(715)
+    shapes = ((3, 5), (5, 3), (15, 1), (1, 15))
+    for _ in range(12):
+        for m, n in shapes:
+            p, q = _point_mass_pair(rng, m, n, rng.randrange(4, 7), 2)
+            res = mwd_exact(p, q)
+            assert plan_marginals(res.plan, m, n) == (p.cells, q.cells)
+            assert res.distance == plan_cost(res.plan) == assignment_distance(p, q)
+            assert mwd_module._arcs[0] == (m, n)
+    assert mwd_module._grid_arcs(1, 15) is mwd_module._grid_arcs(1, 15)
 
 
 def _certificate_cases():
