@@ -15,10 +15,12 @@ Two exact engines solve for ``d``; ``mwd_exact`` picks one by the input's
 shape alone. With S surplus and D deficit cells among N:
 
 - ``S * D > GRID_ENGINE_RATIO * N`` (dense): ``_solve_grid``, a primal-dual
-  min-cost flow on the 4-neighbour grid graph, whose O(N) unit-cost arcs
-  carry the Manhattan cost (EMD-L1, Ling & Okada 2007). Each round's
-  Dijkstra, on Dial's bucket queue (CACM 1969), grows a shortest-path
-  forest from the cells with surplus left, and flow is pushed along it;
+  min-cost flow on the 4-neighbour grid graph, whose O(N) unit-cost edges
+  carry the Manhattan cost (EMD-L1, Ling & Okada 2007). The graph is never
+  built: a cell's neighbours and edges are arithmetic on its index in a
+  row-padded layout. Each round's Dijkstra, on Dial's bucket queue (CACM
+  1969), grows a shortest-path forest from the cells with surplus left,
+  and flow is pushed along it;
 - otherwise (sparse): ``_solve_transport``, single-source shortest
   augmenting paths, started from a column reduction, on the bipartite
   surplus x deficit graph, whose S * D arcs each cost the Manhattan
@@ -32,10 +34,10 @@ every plan amount are exact ints. Both engines give the same distance; when
 several plans are optimal they may return different ones.
 
 Both engines stay because neither is fast on the other's inputs: on 128x128
-grids of 32 point masses of 100 the grid engine's solve takes 84-166 ms
-(median 130, best of 3 calls) and the bipartite one's 0.47-1.2 ms (median
-0.73, best of 5) on the same 16 pairs, while on 12x12 grids with cells
-0..9 the grid engine is 2.5-10x faster (median 5.0x, 32 pairs, best of 3;
+grids of 32 point masses of 100 the grid engine's solve takes 26-70 ms
+(median 35, best of 3 calls) and the bipartite one's 0.40-0.93 ms (median
+0.67, best of 5) on the same 16 pairs, while on 12x12 grids with cells
+0..9 the grid engine is 2.9-8.4x faster (median 5.3x, 32 pairs, best of 3;
 2-vCPU Xeon host).
 """
 
@@ -56,20 +58,16 @@ Cell = tuple[int, int]
 # The grid engine runs when surplus cells x deficit cells exceeds this many
 # times the cell count. Measured crossovers (both engines' solves on the same
 # pairs, best of 3 each, medians of bipartite time / grid time by ratio): on
-# 200 uniform 7x7 to 14x14 grids with cells 0..1 to 0..3, 0.92 at ratios 4-5,
-# 1.06 at 5-6, 1.18 at 6-7 and 1.36-1.51 at 7-10; on 100 24x24 to 64x64 grids
-# of uneven point masses, 0.91 at 4-5, 1.24 at 5-6 and 1.24-1.77 at 6-10; on
-# 8x8 and 12x12 grids with cells 0..9 (ratios 11-15 and 27-33), 2.2 and 4.6.
+# 111 uniform 7x7 to 14x14 grids with cells 0..1 to 0..3, 0.81 at ratios 3-4,
+# 0.91 at 4-5, 1.13 at 5-6 and 1.15-1.74 at 6-10; on 117 24x24 to 64x64
+# grids of uneven point masses, 0.90 at 3-4, 1.00 at 4-5, 1.30 at 5-6 and
+# 1.66-2.71 at 6-10. The point masses break even one ratio lower than the
+# uniform grids, which keep 5. On 12x12 grids with cells 0..9 (ratios
+# 27-33) the grid engine is 5.3x faster.
 GRID_ENGINE_RATIO = 5
 
 # 0, 1, ..., N - 1 for the largest grid seen so far; see ``mwd_exact``.
 _index: tuple[int, ...] = ()
-
-# A step of the grid graph, (head, edge, sign, tail); see ``_grid_arcs``.
-Step = tuple[int, int, int, int]
-
-# (rows, cols) and the grid graph of the last shape solved; see ``_grid_arcs``.
-_arcs: tuple[tuple[int, int], list[list[Step]]] = ((0, 0), [])
 
 
 class Move(NamedTuple):
@@ -288,54 +286,51 @@ def _solve_transport(
     }
 
 
-def _grid_arcs(rows: int, cols: int) -> list[list[Step]]:
-    """Steps ``(head, edge, sign, tail)`` of the 4-neighbour grid graph:
-    ``adj[u]`` lists the steps out of cell u, so each has tail u.
-
-    Edge e joins a cell to its right neighbour when e < rows * cols - rows,
-    else to its lower one. ``sign`` is +1 when the step runs from the edge's
-    lower flat index to its higher one and -1 the other way, so ``sign *
-    flow[e]`` is the flow along the step.
-
-    The graph of the last shape asked for stays in ``_arcs`` and is returned
-    again while calls keep that shape; callers only read it. It holds about
-    64 KiB at 12x12, 2.2 MiB at 64x64 and 8.9 MiB at 128x128 (tracemalloc,
-    Python 3.11) until a grid of another shape replaces it.
-    """
-    global _arcs
-    shape, adj = _arcs  # one read, so a concurrent call cannot mix two shapes
-    if shape == (rows, cols):
-        return adj
-    n = rows * cols
-    edges = [(u, u + 1) for u in range(n) if (u + 1) % cols]
-    edges += [(u, u + cols) for u in range(n - cols)]
-    adj = [[] for _ in range(n)]
-    for e, (u, w) in enumerate(edges):
-        adj[u].append((w, e, 1, u))
-        adj[w].append((u, e, -1, w))
-    _arcs = ((rows, cols), adj)
-    return adj
-
-
 def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int], int]:
     """Min-cost flow of ``d = p - q`` on the grid graph, by primal-dual
     rounds: the dense engine of ``mwd_exact``.
 
     Every cell is a node and every pair of 4-neighbours is joined by an
     edge of unlimited capacity that costs 1 per unit either way, so a
-    flow's cost is its Manhattan work. ``flow[e]`` is the signed net flow
-    on edge e, positive from its lower flat index to its higher one. A step
-    against that flow costs -1, since it cancels flow, and may push at most
-    the flow it cancels; any other step costs 1.
+    flow's cost is its Manhattan work. A step against an edge's flow costs
+    -1, since it cancels flow, and may push at most the flow it cancels;
+    any other step costs 1.
+
+    No graph is built: a cell's neighbours and edges are arithmetic on its
+    index. The cells are laid out as ``rows + 1`` rows of ``W = cols + 2 -
+    cols % 2`` slots, cell (r, c) at slot ``r * W + c``. W is even and
+    greater than cols, which leaves one or two sentinel slots at the end of
+    each row, and the last row is all sentinels. The neighbours of slot u
+    are ``u - 1``, ``u + 1``, ``u - W`` and ``u + W``. From row 0, ``u -
+    W`` is negative, and Python's indexing wraps it into the sentinel row;
+    from column 0, ``u - 1`` is the last slot of the row before (of the
+    sentinel row, from slot 0). Every sentinel's ``dist`` is -1 in every
+    round, copied from one template list, so the search's first test,
+    ``dist[w] > du``, turns a sentinel away before anything else is read,
+    and a sentinel is never settled or pushed. No sentinel's potential is
+    read either, so ``pot`` stops before the sentinel row, and so does the
+    ``zip`` that updates it.
+
+    The edge between neighbours u and w is ``flow[u + w]``, its net flow,
+    positive from the lower index to the higher. A horizontal edge's sum
+    ``2a + 1`` is odd and a vertical one's ``2a + W`` is even, since W is,
+    so each sum names exactly one edge. A sum that reaches a sentinel names
+    no real edge, so its slot stays 0, and the ``2 * (rows + 1) * W``
+    slots of ``flow`` cover every sum, a wrapped one included.
 
     Each round runs Dijkstra with node potentials from every cell with
-    surplus left, and ``via`` records, for each cell, the ``adj`` entry of
-    the step that last lowered its distance, so the settled cells form a
-    shortest-path forest rooted at those sources. A settled deficit cell is
-    expanded like any other; the search stops at the one that brings the
-    settled deficits up to the surplus left, at distance D. Adding
-    ``min(dist, D)`` to each potential keeps every reduced cost nonnegative
-    and makes every step of the forest tight (reduced cost 0).
+    surplus left, and ``via`` records, for each cell, the cell whose step
+    last lowered its distance, so the settled cells form a shortest-path
+    forest rooted at those sources. A settled deficit cell is expanded like
+    any other; the search stops at the one that brings the settled deficits
+    up to the surplus left, at distance D. Adding ``min(dist, D)`` to each
+    potential keeps every reduced cost nonnegative and makes every step of
+    the forest tight (reduced cost 0). A source only ever loses surplus,
+    so each round's sources are the last round's that have some left, in
+    row-major order. A source is at distance 0 in every round, so no step
+    ever reaches it and its ``via`` stays -1, the mark of a root; every
+    other cell a round settles got its ``via`` in that round, so ``via``
+    is built once, not per round.
 
     Then each settled deficit, in the order settled, walks ``via`` back to
     its root and pushes ``min(root surplus, its deficit, each flow the path
@@ -369,31 +364,44 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     A cell settled at distance du relaxes to at most du + 2, so the list
     grows to du + 3 buckets once per level that holds entries.
     D and the potentials do not depend on the order of ties; the plan may.
+    The four neighbour checks are written out one after another, left,
+    right, up, down: at 12x12 with cells 0..9, a loop over ``(u - 1, u +
+    1, u - W, u + W)`` ran 0.87-0.88x as fast, and one over a tuple of
+    offsets 0.88x (medians of 30 pairs, best of 6 calls each).
 
     Every step costs at least 1, so an optimal flow has no cycle and splits
     into source-to-sink paths; a path is never longer than the Manhattan
-    distance of its ends, or rerouting it would be cheaper. Returns the
-    split as ``{(source, sink): amount}`` with flat cell indices.
+    distance of its ends, or rerouting it would be cheaper. The split
+    starts from each source in row-major order, and leaves each cell by its
+    first step, in the same neighbour order, that still carries flow out;
+    a cell short of a sink with no flow out raises AssertionError, where a
+    fault would otherwise loop. Along such a step the flow's sign gives its
+    direction, so a path holds only the edges it crosses. Returns the split
+    as ``{(source, sink): amount}`` with flat cell indices, slot s mapped
+    back to ``s - s // W * (W - cols)``. Every list is built per call, and
+    nothing is kept between calls.
     """
-    n = len(d)
-    adj = _grid_arcs(rows, cols)
-    flow = [0] * (2 * n - rows - cols)
-    exc = list(d)
-    pot = [0] * n
+    W = cols + 2 - cols % 2
+    size = (rows + 1) * W
+    exc = [0] * size
+    for r in range(rows):
+        exc[r * W : r * W + cols] = d[r * cols : r * cols + cols]
+    rest = exc[:]
+    flow = [0] * (2 * size)
     surplus = sum(v for v in d if v > 0)
-    far = 2 * n  # more than any distance
+    # Real cells start each round at 2n, more than any distance.
+    blank = ([2 * len(d)] * cols + [-1] * (W - cols)) * rows + [-1] * W
+    roots = sources = [u for u, v in enumerate(exc) if v > 0]
+    pot, via = [0] * (rows * W), [-1] * size
 
     while surplus:
-        sources = [u for u, v in enumerate(exc) if v > 0]
-        left = surplus
-        dist = [far] * n
+        left, sinks = surplus, []
+        dist = blank[:]
         for u in sources:
             dist[u] = 0
-        via: list[Step | None] = [None] * n
-        sinks = []
         # buckets[k] holds the cells whose distance fell to k; zero-cost steps
         # append to the bucket being read.
-        buckets = [sources]
+        buckets = [sources[:]]
         for du, bucket in enumerate(buckets):
             if bucket:
                 while len(buckets) < du + 3:
@@ -407,22 +415,38 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
                     if left <= 0:
                         break
                 base = du + 1 + pot[u]
-                for step in adj[u]:
-                    w = step[0]
-                    dw = dist[w]
-                    if dw <= du:
-                        continue  # reduced costs are >= 0, so alt >= du
-                    if flow[step[1]]:  # a tight step: alt = du
-                        dist[w] = du
-                        via[w] = step
+                # Reduced costs are >= 0, so no step lowers a cell at <= du,
+                # and a step across an edge with flow is tight: alt = du.
+                if (dw := dist[w := u - 1]) > du:
+                    if flow[u + w]:
+                        dist[w], via[w] = du, u
                         bucket.append(w)
                     elif (alt := base - pot[w]) < dw:
-                        dist[w] = alt
-                        via[w] = step
+                        dist[w], via[w] = alt, u
                         buckets[alt].append(w)
-            else:
-                continue  # the deficits settled so far cannot take every surplus
-            break  # they can: du is the stop distance
+                if (dw := dist[w := u + 1]) > du:
+                    if flow[u + w]:
+                        dist[w], via[w] = du, u
+                        bucket.append(w)
+                    elif (alt := base - pot[w]) < dw:
+                        dist[w], via[w] = alt, u
+                        buckets[alt].append(w)
+                if (dw := dist[w := u - W]) > du:
+                    if flow[u + w]:
+                        dist[w], via[w] = du, u
+                        bucket.append(w)
+                    elif (alt := base - pot[w]) < dw:
+                        dist[w], via[w] = alt, u
+                        buckets[alt].append(w)
+                if (dw := dist[w := u + W]) > du:
+                    if flow[u + w]:
+                        dist[w], via[w] = du, u
+                        bucket.append(w)
+                    elif (alt := base - pot[w]) < dw:
+                        dist[w], via[w] = alt, u
+                        buckets[alt].append(w)
+            if left <= 0:
+                break  # the deficits settled so far take every surplus: D = du
         else:
             raise AssertionError("balanced flow instance became infeasible")
         if du:
@@ -430,47 +454,54 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
 
         before = surplus
         for t in sinks:
+            # The path's edges, each as ~e (< 0) where the step runs from the
+            # higher index to the lower, against the edge's positive flow.
             path, w = [], t
-            while step := via[w]:
-                _, e, _, u = step
-                if not (flow[e] or pot[w] == pot[u] + 1):
-                    break  # an earlier push this round used up this cancel step
-                path.append(step)
+            while (u := via[w]) >= 0 and (flow[u + w] or pot[w] == pot[u] + 1):
+                path.append(u + w if u < w else ~(u + w))
                 w = u
-            else:
-                if not exc[w]:
-                    continue  # the root w has no surplus left
-                cancelled = (b for _, e, sign, _ in path if (b := -sign * flow[e]) > 0)
-                delta = min(exc[w], -exc[t], *cancelled)
-                for _, e, sign, _ in path:
-                    flow[e] += sign * delta
-                exc[w] -= delta
-                exc[t] += delta
-                surplus -= delta
+            if u >= 0 or not exc[w]:
+                # An earlier push this round used up a cancel step of the path,
+                # or the root w has no surplus left.
+                continue
+            cancelled = (b for e in path if (b := flow[~e] if e < 0 else -flow[e]) > 0)
+            delta = min(exc[w], -exc[t], *cancelled)
+            for e in path:
+                if e < 0:
+                    flow[~e] -= delta
+                else:
+                    flow[e] += delta
+            exc[w] -= delta
+            exc[t] += delta
+            surplus -= delta
         if surplus == before:
             raise AssertionError("a round pushed no flow")
+        sources = [u for u in sources if exc[u] > 0]
 
     shipped: dict[tuple[int, int], int] = {}
-    rest = list(d)
-    ptr = [0] * n
-    for s in range(n):
+    for s in roots:
+        src = s - s // W * (W - cols)  # slot s holds this cell
         while rest[s] > 0:
             u, amt, path = s, rest[s], []
             while rest[u] >= 0:
-                out = adj[u]
-                i = ptr[u]
-                while out[i][2] * flow[out[i][1]] <= 0:
-                    i += 1
-                ptr[u] = i
-                u, e, sign, _ = out[i]
-                if sign * flow[e] < amt:
-                    amt = sign * flow[e]
-                path.append(out[i])
-            if -rest[u] < amt:
-                amt = -rest[u]
-            for _, e, sign, _ in path:
-                flow[e] -= sign * amt
+                # Leave u by the first of its steps, left, right, up, down,
+                # that carries flow out of it: f, the flow along the step.
+                if (
+                    (f := -flow[e := 2 * u - 1]) <= 0
+                    and (f := flow[e := 2 * u + 1]) <= 0
+                    and (f := -flow[e := 2 * u - W]) <= 0
+                    and (f := flow[e := 2 * u + W]) <= 0
+                ):
+                    raise AssertionError("flow stops short of a sink")
+                path.append(e)
+                u = e - u
+                if f < amt:
+                    amt = f
+            amt = min(amt, -rest[u])
+            for e in path:  # amt is at most |flow[e]|, so no flow changes sign
+                flow[e] -= amt if flow[e] > 0 else -amt
             rest[s] -= amt
             rest[u] += amt
-            shipped[s, u] = shipped.get((s, u), 0) + amt
+            key = src, u - u // W * (W - cols)
+            shipped[key] = shipped.get(key, 0) + amt
     return shipped
