@@ -374,12 +374,14 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     distance of its ends, or rerouting it would be cheaper. The split
     starts from each source in row-major order, and leaves each cell by its
     first step, in the same neighbour order, that still carries flow out;
-    a cell short of a sink with no flow out raises AssertionError, where a
-    fault would otherwise loop. Along such a step the flow's sign gives its
-    direction, so a path holds only the edges it crosses. Returns the split
-    as ``{(source, sink): amount}`` with flat cell indices, slot s mapped
-    back to ``s - s // W * (W - cols)``. Every list is built per call, and
-    nothing is kept between calls.
+    along that step the flow's sign gives its direction, so a path holds
+    only the edges it crosses. Every path of the flow is a shortest one, so
+    a walk that takes more than ``rows + cols`` steps, or reaches a cell
+    short of a sink with no flow out, raises AssertionError where a fault
+    would otherwise loop. Returns the split as ``{(source, sink): amount}``
+    with flat cell indices, slot s mapped back to ``s - s // W * (W -
+    cols)``. Every list is built per call, and nothing is kept between
+    calls.
     """
     W = cols + 2 - cols % 2
     size = (rows + 1) * W
@@ -486,13 +488,13 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
             while rest[u] >= 0:
                 # Leave u by the first of its steps, left, right, up, down,
                 # that carries flow out of it: f, the flow along the step.
-                if (
+                if len(path) > rows + cols or (
                     (f := -flow[e := 2 * u - 1]) <= 0
                     and (f := flow[e := 2 * u + 1]) <= 0
                     and (f := -flow[e := 2 * u - W]) <= 0
                     and (f := flow[e := 2 * u + W]) <= 0
                 ):
-                    raise AssertionError("flow stops short of a sink")
+                    raise AssertionError("no flow path from a source reaches a sink")
                 path.append(e)
                 u = e - u
                 if f < amt:
