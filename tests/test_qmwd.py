@@ -28,16 +28,6 @@ def test_directional_estimate():
     assert directional_estimate(60, 30) == 2
 
 
-def test_breakdown_anti_diagonal_units():
-    p = GridHistogram.from_rows([[1, 0], [0, 0]])
-    q = GridHistogram.from_rows([[0, 0], [0, 1]])
-    b = qmwd(p, q)
-    assert (b.wd_row, b.wd_rot, b.wd_transp) == (3, 1, 3)
-    assert (b.est_row, b.est_rot, b.est_transp) == (2, 1, 2)
-    assert b.qmwd == 2
-    assert mwd_exact(p, q).distance == 2
-
-
 def test_breakdown_one_by_two():
     p = GridHistogram.from_rows([[1, 0]])
     q = GridHistogram.from_rows([[0, 1]])
@@ -109,24 +99,6 @@ def test_can_exceed_exact_distance():
     assert mwd_exact(p, q).distance == 2
     assert b.est_transp == 3
     assert b.qmwd == 3
-
-
-def test_axis_aligned_unit_pairs_are_exact():
-    def unit(m, n, i, j):
-        cells = [0] * (m * n)
-        cells[i * n + j] = 1
-        return GridHistogram(m, n, tuple(cells))
-
-    for r in range(5):
-        for c1 in range(5):
-            for c2 in range(5):
-                p, q = unit(5, 5, r, c1), unit(5, 5, r, c2)
-                assert qmwd(p, q).qmwd == mwd_exact(p, q).distance == abs(c1 - c2)
-    for c in range(5):
-        for r1 in range(5):
-            for r2 in range(5):
-                p, q = unit(5, 5, r1, c), unit(5, 5, r2, c)
-                assert qmwd(p, q).qmwd == mwd_exact(p, q).distance == abs(r1 - r2)
 
 
 def test_all_zero_pair_is_zero():
