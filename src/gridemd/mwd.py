@@ -5,14 +5,16 @@ check, the support, the cells where either grid holds mass, is found by two
 ``compress`` calls over a shared tuple of cell indices, and every move is
 built from it: the common mass ``min(p, q)`` as src == dst moves, so the
 plan's marginals always match the full input grids, and the moves the solve
-ships. Only the difference ``d = p - q`` enters the solve: surplus cells are
-where it is positive, deficit cells where it is negative. Both grids are 0
+ships. Only the difference ``p - q`` enters the solve, as two support lists:
+the surplus cells, where it is positive, and the deficit cells, where it is
+negative, each as (flat index, amount) in row-major order. Both grids are 0
 off the support, so total surplus minus total deficit is ``total(p) -
 total(q)``, and the mass check reads it there instead of summing the grids.
 The distance is the plan's cost.
 
-Two exact engines solve for ``d``; ``mwd_exact`` picks one by the input's
-shape alone. With S surplus and D deficit cells among N:
+Two exact engines take those lists and the grid's shape, so no N-cell
+difference vector is built; ``mwd_exact`` picks one by the input's shape
+alone. With S surplus and D deficit cells among N:
 
 - ``S * D > GRID_ENGINE_RATIO * N`` (dense): ``_solve_grid``, a primal-dual
   min-cost flow on the 4-neighbour grid graph, whose O(N) unit-cost edges
@@ -25,9 +27,6 @@ shape alone. With S surplus and D deficit cells among N:
   augmenting paths, started from a column reduction, on the bipartite
   surplus x deficit graph, whose S * D arcs each cost the Manhattan
   distance of their ends.
-
-Only the grid engine reads ``d`` as a full N-cell vector; the sparse path
-builds its input from the support alone.
 
 Integer supplies make both problems' optima integral, so the distance and
 every plan amount are exact ints. Both engines give the same distance; when
@@ -45,7 +44,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from operator import sub
 from typing import Iterable, NamedTuple
 
 from .grid import GridHistogram, check_mass, check_shape
@@ -54,6 +52,8 @@ from .grid import GridHistogram, check_mass, check_shape
 from .grid import total_mass  # noqa: F401
 
 Cell = tuple[int, int]
+# (flat index, amount) per surplus or deficit cell, in row-major order.
+Support = list[tuple[int, int]]
 
 # The grid engine runs when surplus cells x deficit cells exceeds this many
 # times the cell count. Measured crossovers (both engines' solves on the same
@@ -116,10 +116,10 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     tuple ``0, 1, ..., N-1`` find the pair's support, and one loop over it
     builds the stay-put moves and the surplus and deficit lists, whose
     totals give the mass check, so no full grid is summed unless the masses
-    differ. The shipped moves and the bipartite engine's input are built
-    from the support too, and the grid engine alone gets the full ``p -
-    q``. The distance is the plan's cost, summed over the shipped moves
-    alone, since stay-put moves cost 0.
+    differ. Either engine takes those two lists and the shape, and the
+    shipped moves are built from the support too. The distance is the
+    plan's cost, summed over the shipped moves alone, since stay-put moves
+    cost 0.
     The tuple is built on the first call and rebuilt only for a larger grid,
     and it stays alive: about 40 B per cell of the largest grid seen, 0.62
     MiB after a 128x128 call (tracemalloc).
@@ -133,8 +133,8 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     # One (row, col) tuple per cell where either grid holds mass, shared by
     # that cell's stay-put move and every move it ships along.
     cell: dict[int, Cell] = {}
-    sup: list[tuple[int, int]] = []
-    dem: list[tuple[int, int]] = []
+    sup: Support = []
+    dem: Support = []
     moves: list[Move] = []
     for i in sorted({*compress(index, pc), *compress(index, qc)}):
         c = cell[i] = divmod(i, cols)
@@ -146,10 +146,8 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     # Off the support both grids are 0, so this is total(p) - total(q).
     check_mass(p, q, sum(v for _, v in sup) - sum(v for _, v in dem))
 
-    if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(pc):
-        shipped = _solve_grid(tuple(map(sub, pc, qc)), p.rows, cols)
-    else:
-        shipped = _solve_transport(sup, dem, cell)
+    dense = len(sup) * len(dem) > GRID_ENGINE_RATIO * len(pc)
+    shipped = (_solve_grid if dense else _solve_transport)(sup, dem, p.rows, cols)
 
     distance = 0  # stay-put moves cost 0
     for (s, t), amt in shipped.items():
@@ -160,18 +158,17 @@ def mwd_exact(p: GridHistogram, q: GridHistogram) -> MwdResult:
     return MwdResult(distance, tuple(moves))
 
 
-def _solve_transport(
-    sup: list[tuple[int, int]], dem: list[tuple[int, int]], cell: dict[int, Cell]
-) -> dict[tuple[int, int], int]:
+def _solve_transport(sup: Support, dem: Support, rows: int, cols: int) -> dict[tuple[int, int], int]:
     """Min-cost balanced transportation by single-source shortest augmenting
     paths (Jonker & Volgenant 1987; Ahuja, Magnanti & Orlin, *Network
     Flows*, 9.7): the sparse engine of ``mwd_exact``.
 
-    ``sup`` and ``dem`` list the surplus and deficit cells as (flat index,
-    amount) in row-major order, and ``cell`` maps each of those indices to
-    its (row, col); every surplus-deficit arc exists with unlimited capacity
-    and costs the Manhattan distance of its ends. Returns the shipped
-    amounts as ``{(source, sink): amount}`` with flat cell indices.
+    ``sup`` and ``dem`` list the surplus and deficit cells of a ``rows`` x
+    ``cols`` grid as (flat index, amount) in row-major order; a cell's
+    (row, col) is ``divmod(index, cols)``. Every surplus-deficit arc exists
+    with unlimited capacity and costs the Manhattan distance of its ends.
+    Returns the shipped amounts as ``{(source, sink): amount}`` with flat
+    cell indices.
 
     Sources and sinks carry potentials, and the reduced cost ``cost + source
     potential - sink potential`` of every arc stays nonnegative; it is 0 on
@@ -199,10 +196,9 @@ def _solve_transport(
     ``far``, more than any distance in the phase, so ties settle the lower
     sink index first.
     """
-    dst = [cell[i] for i, _ in dem]
-    cost_rows = [
-        [abs(si - di) + abs(sj - dj) for di, dj in dst] for si, sj in (cell[i] for i, _ in sup)
-    ]
+    src = [divmod(i, cols) for i, _ in sup]
+    dst = [divmod(i, cols) for i, _ in dem]
+    cost_rows = [[abs(si - di) + abs(sj - dj) for di, dj in dst] for si, sj in src]
     supply = [a for _, a in sup]
     demand = [a for _, a in dem]
     pot_s = [0] * len(sup)
@@ -286,9 +282,12 @@ def _solve_transport(
     }
 
 
-def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int], int]:
-    """Min-cost flow of ``d = p - q`` on the grid graph, by primal-dual
-    rounds: the dense engine of ``mwd_exact``.
+def _solve_grid(sup: Support, dem: Support, rows: int, cols: int) -> dict[tuple[int, int], int]:
+    """Min-cost flow from the surplus to the deficit cells of a ``rows`` x
+    ``cols`` grid on its grid graph, by primal-dual rounds: the dense engine
+    of ``mwd_exact``. ``sup`` and ``dem`` list those cells as (flat index,
+    amount) in row-major order, as for ``_solve_transport``; every other
+    cell starts with excess 0.
 
     Every cell is a node and every pair of 4-neighbours is joined by an
     edge of unlimited capacity that costs 1 per unit either way, so a
@@ -298,12 +297,13 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
 
     No graph is built: a cell's neighbours and edges are arithmetic on its
     index. The cells are laid out as ``rows + 1`` rows of ``W = cols + 2 -
-    cols % 2`` slots, cell (r, c) at slot ``r * W + c``. W is even and
-    greater than cols, which leaves one or two sentinel slots at the end of
-    each row, and the last row is all sentinels. The neighbours of slot u
-    are ``u - 1``, ``u + 1``, ``u - W`` and ``u + W``. From row 0, ``u -
-    W`` is negative, and Python's indexing wraps it into the sentinel row;
-    from column 0, ``u - 1`` is the last slot of the row before (of the
+    cols % 2`` slots, cell (r, c), of flat index ``i = r * cols + c``, at
+    slot ``r * W + c = i + i // cols * (W - cols)``. W is even and greater
+    than cols, which leaves one or two sentinel slots at the end of each
+    row, and the last row is all sentinels. The neighbours of slot u are
+    ``u - 1``, ``u + 1``, ``u - W`` and ``u + W``. From row 0, ``u - W`` is
+    negative, and Python's indexing wraps it into the sentinel row; from
+    column 0, ``u - 1`` is the last slot of the row before (of the
     sentinel row, from slot 0). Every sentinel's ``dist`` is -1 in every
     round, copied from one template list, so the search's first test,
     ``dist[w] > du``, turns a sentinel away before anything else is read,
@@ -379,21 +379,24 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
     a walk that takes more than ``rows + cols`` steps, or reaches a cell
     short of a sink with no flow out, raises AssertionError where a fault
     would otherwise loop. Returns the split as ``{(source, sink): amount}``
-    with flat cell indices, slot s mapped back to ``s - s // W * (W -
-    cols)``. Every list is built per call, and nothing is kept between
-    calls.
+    with flat cell indices: a source's is read from ``sup``, and a sink's
+    slot u maps back to ``u - u // W * (W - cols)``. Every list is built
+    per call from the support lists alone, without a pass over all the
+    cells, and nothing is kept between calls.
     """
     W = cols + 2 - cols % 2
     size = (rows + 1) * W
     exc = [0] * size
-    for r in range(rows):
-        exc[r * W : r * W + cols] = d[r * cols : r * cols + cols]
+    roots = sources = [i + i // cols * (W - cols) for i, _ in sup]
+    for u, (_, a) in zip(roots, sup):
+        exc[u] = a
+    for i, a in dem:
+        exc[i + i // cols * (W - cols)] = -a
     rest = exc[:]
     flow = [0] * (2 * size)
-    surplus = sum(v for v in d if v > 0)
+    surplus = sum(a for _, a in sup)
     # Real cells start each round at 2n, more than any distance.
-    blank = ([2 * len(d)] * cols + [-1] * (W - cols)) * rows + [-1] * W
-    roots = sources = [u for u, v in enumerate(exc) if v > 0]
+    blank = ([2 * rows * cols] * cols + [-1] * (W - cols)) * rows + [-1] * W
     pot, via = [0] * (rows * W), [-1] * size
 
     while surplus:
@@ -481,8 +484,7 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
         sources = [u for u in sources if exc[u] > 0]
 
     shipped: dict[tuple[int, int], int] = {}
-    for s in roots:
-        src = s - s // W * (W - cols)  # slot s holds this cell
+    for s, (src, _) in zip(roots, sup):
         while rest[s] > 0:
             u, amt, path = s, rest[s], []
             while rest[u] >= 0:
@@ -504,6 +506,6 @@ def _solve_grid(d: tuple[int, ...], rows: int, cols: int) -> dict[tuple[int, int
                 flow[e] -= amt if flow[e] > 0 else -amt
             rest[s] -= amt
             rest[u] += amt
-            key = src, u - u // W * (W - cols)
+            key = src, u - u // W * (W - cols)  # slot u holds this cell
             shipped[key] = shipped.get(key, 0) + amt
     return shipped

@@ -414,12 +414,23 @@ def test_grid_engine_alternating_shapes(monkeypatch):
     monkeypatch.setattr(mwd_module, "GRID_ENGINE_RATIO", 0)
     rng = random.Random(715)
     shapes = ((3, 5), (5, 3), (15, 1), (1, 15), (2, 8), (8, 2), (1, 16), (16, 1))
-    for _ in range(12):
-        for m, n in shapes:
-            p, q = _point_mass_pair(rng, m, n, rng.randrange(4, 7), 2)
-            res = mwd_exact(p, q)
-            assert plan_marginals(res.plan, m, n) == (p.cells, q.cells)
-            assert res.distance == plan_cost(res.plan) == assignment_distance(p, q)
+    cases = [
+        _point_mass_pair(rng, m, n, rng.randrange(4, 7), 2) for _ in range(12) for m, n in shapes
+    ]
+    # Every surplus and deficit cell in the last column or the last row, the
+    # cells written next to the sentinel slots: p and q take turns along the
+    # last column, top to bottom, then the last row, right to left. 5x7 pads
+    # one slot per row and 4x8 two.
+    for m, n in ((5, 7), (4, 8)):
+        edge = [r * n + n - 1 for r in range(m)] + [(m - 1) * n + c for c in range(n - 2, -1, -1)]
+        p, q = [0] * (m * n), [0] * (m * n)
+        for k, i in enumerate(edge[: len(edge) // 2 * 2]):
+            (q if k % 2 else p)[i] = 2
+        cases.append((GridHistogram(m, n, tuple(p)), GridHistogram(m, n, tuple(q))))
+    for p, q in cases:
+        res = mwd_exact(p, q)
+        assert plan_marginals(res.plan, p.rows, p.cols) == (p.cells, q.cells)
+        assert res.distance == plan_cost(res.plan) == assignment_distance(p, q)
 
 
 def _certificate_cases():

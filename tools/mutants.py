@@ -6,7 +6,11 @@ Each mutant is one exact-string edit, ``old`` to ``new``, of one file under
 ``src/``. For each one the script copies ``src/``, ``tests/``, ``tools/`` and
 ``pyproject.toml`` into a temporary directory, applies the edit there and
 runs ``python -m pytest -q -x`` on the copy with ``PYTHONPATH=src``, under a
-timeout of TIMEOUT seconds per mutant. The run leaves out
+timeout of TIMEOUT seconds per mutant. The run takes the mutated module's
+own test file first (``tests/test_mwd.py`` for ``src/gridemd/mwd.py``), then
+the other unit test files in name order, and ``tests/test_acceptance.py``
+last, so the report names the first focused test that fails rather than a
+sweep or an acceptance criterion that would fail too. It leaves out
 ``tests/test_mutants.py``, which checks the pins that the edit itself
 breaks. A failing run kills the mutant. A timeout counts as killed too,
 since a fault that makes the tests hang is caught, but it is reported
@@ -37,6 +41,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "tools", "pyproject.toml")
 KILLED = "killed"
+ACCEPTANCE = "tests/test_acceptance.py"
 TIMEOUT = 60  # seconds per mutant; a full tier-1 run takes about 6 s on 2 vCPUs
 
 
@@ -54,10 +59,17 @@ MUTANTS = (
     # The grid engine, _solve_grid.
     Mutant("grid: odd row width", MWD, "W = cols + 2 - cols % 2", "W = cols + 1", KILLED),
     Mutant(
+        "grid: a deficit written one slot to the right",
+        MWD,
+        "exc[i + i // cols * (W - cols)] = -a",
+        "exc[i + i // cols * (W - cols) + 1] = -a",
+        KILLED,
+    ),
+    Mutant(
         "grid: sentinels start at 2n, like real cells",
         MWD,
-        "blank = ([2 * len(d)] * cols + [-1] * (W - cols)) * rows + [-1] * W",
-        "blank = [2 * len(d)] * size",
+        "blank = ([2 * rows * cols] * cols + [-1] * (W - cols)) * rows + [-1] * W",
+        "blank = [2 * rows * cols] * size",
         KILLED,
     ),
     Mutant(
@@ -112,10 +124,10 @@ MUTANTS = (
         KILLED,
     ),
     Mutant(
-        "grid: a source slot mapped back off by one",
+        "grid: a sink slot mapped back off by one",
         MWD,
-        "src = s - s // W * (W - cols)",
-        "src = s - s // W * (W - cols - 1)",
+        "key = src, u - u // W * (W - cols)",
+        "key = src, u - u // W * (W - cols - 1)",
         KILLED,
     ),
     Mutant(
@@ -141,6 +153,13 @@ MUTANTS = (
         "of tools/identity.py see",
     ),
     # The sparse engine, _solve_transport.
+    Mutant(
+        "sparse: sink coordinates taken by the row count",
+        MWD,
+        "dst = [divmod(i, cols) for i, _ in dem]",
+        "dst = [divmod(i, rows) for i, _ in dem]",
+        KILLED,
+    ),
     Mutant(
         "sparse: settled sinks at the largest distance",
         MWD,
@@ -168,8 +187,8 @@ MUTANTS = (
     Mutant(
         "mwd_exact: the size rule takes the grid engine at the ratio",
         MWD,
-        "if len(sup) * len(dem) > GRID_ENGINE_RATIO * len(pc):",
-        "if len(sup) * len(dem) >= GRID_ENGINE_RATIO * len(pc):",
+        "dense = len(sup) * len(dem) > GRID_ENGINE_RATIO * len(pc)",
+        "dense = len(sup) * len(dem) >= GRID_ENGINE_RATIO * len(pc)",
         KILLED,
     ),
     Mutant(
@@ -291,9 +310,14 @@ def run_mutant(m: Mutant) -> tuple[str, float, str]:
         target = work / m.file
         target.write_text(target.read_text().replace(m.old, m.new, 1))
         env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        unit = sorted(f"tests/{t.name}" for t in (work / "tests").glob("test_*.py"))
+        unit.remove(ACCEPTANCE)
         # tests/test_mutants.py checks the pins, which an applied edit breaks.
+        unit.remove("tests/test_mutants.py")
+        own = f"tests/test_{Path(m.file).stem}.py"
+        unit.sort(key=lambda t: t != own)  # stable, so the rest keep name order
         cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
-        cmd.append("--ignore=tests/test_mutants.py")
+        cmd += [*unit, ACCEPTANCE]
         start = time.perf_counter()
         try:
             proc = subprocess.run(cmd, cwd=work, env=env, capture_output=True, timeout=TIMEOUT)
